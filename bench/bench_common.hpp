@@ -101,10 +101,10 @@ inline int run_telemetry(const TelemetryOptions& opts, Hertz f = ghz(2.0)) {
   telemetry.trace.enable();
   telemetry.metrics.enable();
   telemetry.timers.enable();
-  // Telemetry attaches through RunOptions; the serial single-shard plan
-  // is the canonical stream any sharded run must reproduce byte-for-byte.
+  // Telemetry attaches through RunOptions; the serial run is the
+  // canonical stream any parallel run must reproduce byte-for-byte.
   const dc::FleetResult result = dc::run_scenario(
-      scenario, f, dc::RunOptions{.telemetry = &telemetry, .shards = 1, .threads = 1});
+      scenario, f, dc::RunOptions{.telemetry = &telemetry, .threads = 1});
   std::cout << "telemetry run: " << scenario.name << " @ " << f.value() / 1e9
             << " GHz\n"
             << "  offered " << result.offered << ", completed(all) "

@@ -1,19 +1,18 @@
-// Sharded fleet execution: one fleet run split across worker threads
-// with bit-identical results (the PR-10 FleetRunner API).
+// Parallel fleet execution: one fleet run split across worker threads
+// with bit-identical results (the dc::FleetRunner API).
 //
 // The data plane (per-chip cycle advancement — the cache/DRAM/core
-// models, ~all of the wall clock at rack scale) is sharded into
-// contiguous chip ranges and advanced in parallel between epoch
-// barriers; the control plane (dispatch, admission, governors,
-// brownout, autoscaling, telemetry) stays serial at the barrier. The
-// determinism contract: ANY shard count x ANY thread count produces a
-// bit-identical FleetResult. This demo runs a governed diurnal fleet
-// serially and sharded, checks identity, and reports the speedup.
+// models, ~all of the wall clock at rack scale) is advanced in parallel
+// between epoch barriers, each worker claiming the next unadvanced chip;
+// the control plane (dispatch, admission, governors, brownout,
+// autoscaling, telemetry) stays serial at the barrier. The determinism
+// contract: ANY thread count produces an equal FleetResult. This demo
+// runs a governed diurnal fleet serially and in parallel, checks
+// equality, and reports the speedup.
 //
 // Build & run:  ./build/example_sharded_fleet [chips] [requests] [threads]
 //   defaults:   ./build/example_sharded_fleet 32 400 <hardware threads>
-// The acceptance-scale run (>= 500 chips, >= 3x at 8 threads on an idle
-// >= 8-core host):  ./build/example_sharded_fleet 512 4000 8
+// A rack-scale run:  ./build/example_sharded_fleet 512 4000 8
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -30,13 +29,6 @@ double wall_seconds(const dc::FleetRunner& runner, const dc::RunOptions& options
   const auto t0 = std::chrono::steady_clock::now();
   out = runner.run(options);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-bool identical(const dc::FleetResult& a, const dc::FleetResult& b) {
-  return a.completed_all == b.completed_all && a.span_cycles == b.span_cycles &&
-         a.p99.value() == b.p99.value() && a.energy.value() == b.energy.value() &&
-         a.shed == b.shed && a.timed_out == b.timed_out &&
-         a.transitions == b.transitions && a.brownout_shed == b.brownout_shed;
 }
 
 }  // namespace
@@ -69,35 +61,27 @@ int main(int argc, char** argv) {
                                      .build();
   const dc::FleetRunner runner{config};
 
-  std::cout << "Sharded fleet execution: " << chips << " chips, " << requests
+  std::cout << "Parallel fleet execution: " << chips << " chips, " << requests
             << " requests, " << threads << " worker threads ("
-            << std::thread::hardware_concurrency() << " hardware threads)\n";
-  const dc::ShardPlan plan = runner.plan(dc::RunOptions{.threads = threads});
-  std::cout << "Shard plan: " << plan.shard_count() << " contiguous shards";
-  for (const auto& sh : plan.shards) {
-    std::cout << " [" << sh.first_chip << ".." << sh.first_chip + sh.chips - 1 << "]";
-  }
-  std::cout << "\n\n";
+            << std::thread::hardware_concurrency() << " hardware threads)\n\n";
 
-  dc::FleetResult serial, sharded;
-  const double serial_s =
-      wall_seconds(runner, dc::RunOptions{.shards = 1, .threads = 1}, serial);
-  std::cout << "serial   (1 shard,  1 thread):  " << serial_s << " s, p99 "
-            << in_us(serial.p99) << " us, completed " << serial.completed_all
-            << ", energy " << serial.energy.value() * 1e3 << " mJ\n";
-  const double sharded_s =
-      wall_seconds(runner, dc::RunOptions{.threads = threads}, sharded);
-  std::cout << "sharded  (" << plan.shard_count() << " shards, " << threads
-            << " threads): " << sharded_s << " s, p99 " << in_us(sharded.p99)
-            << " us, completed " << sharded.completed_all << ", energy "
-            << sharded.energy.value() * 1e3 << " mJ\n\n";
+  dc::FleetResult serial, parallel;
+  const double serial_s = wall_seconds(runner, dc::RunOptions{.threads = 1}, serial);
+  std::cout << "serial   (1 thread):  " << serial_s << " s, p99 " << in_us(serial.p99)
+            << " us, completed " << serial.completed_all << ", energy "
+            << serial.energy.value() * 1e3 << " mJ\n";
+  const double parallel_s =
+      wall_seconds(runner, dc::RunOptions{.threads = threads}, parallel);
+  std::cout << "parallel (" << threads << " threads): " << parallel_s << " s, p99 "
+            << in_us(parallel.p99) << " us, completed " << parallel.completed_all
+            << ", energy " << parallel.energy.value() * 1e3 << " mJ\n\n";
 
-  if (!identical(serial, sharded)) {
-    std::cout << "FAIL: sharded run diverged from the serial reference\n";
+  if (serial != parallel) {
+    std::cout << "FAIL: parallel run diverged from the serial reference\n";
     return 1;
   }
   std::cout << "bit-identical: yes\n"
-            << "speedup: " << serial_s / sharded_s << "x at " << threads
+            << "speedup: " << serial_s / parallel_s << "x at " << threads
             << " threads\n";
   return 0;
 }

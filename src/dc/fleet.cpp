@@ -133,51 +133,6 @@ void FleetConfig::validate() const {
   }
 }
 
-namespace {
-/// Salt for the per-shard seed stream: ShardPlan seeds must never
-/// collide with the tenant (0xA441/0xB0D6) or workload (0x5E28) streams.
-constexpr std::uint64_t kShardSeedSalt = 0x5A4Dull;
-}  // namespace
-
-ShardPlan ShardPlan::serial(int servers, std::uint64_t fleet_seed) {
-  return make(servers, 1, fleet_seed);
-}
-
-ShardPlan ShardPlan::make(int servers, int shards, std::uint64_t fleet_seed) {
-  NTSERV_EXPECTS(servers > 0, "a shard plan needs at least one chip");
-  if (shards <= 0) shards = sim::ThreadPool::default_threads();
-  shards = std::min(shards, servers);
-  ShardPlan plan;
-  plan.shards.reserve(static_cast<std::size_t>(shards));
-  // Balanced contiguous split: the first (servers % shards) shards carry
-  // one extra chip. Contiguity keeps each shard's chips adjacent in
-  // chips_ (cache locality) and makes the drain order argument trivial.
-  const int base = servers / shards;
-  const int extra = servers % shards;
-  int next = 0;
-  for (int i = 0; i < shards; ++i) {
-    ShardRange r;
-    r.shard = i;
-    r.first_chip = next;
-    r.chips = base + (i < extra ? 1 : 0);
-    r.seed = derive_seed(fleet_seed, kShardSeedSalt + static_cast<std::uint64_t>(i));
-    next += r.chips;
-    plan.shards.push_back(r);
-  }
-  return plan;
-}
-
-void ShardPlan::validate(int servers) const {
-  NTSERV_EXPECTS(!shards.empty(), "a shard plan needs at least one shard");
-  int next = 0;
-  for (const auto& r : shards) {
-    NTSERV_EXPECTS(r.chips > 0, "shard plans must not carry empty shards");
-    NTSERV_EXPECTS(r.first_chip == next, "shard plan ranges must tile contiguously");
-    next += r.chips;
-  }
-  NTSERV_EXPECTS(next == servers, "shard plan must cover every chip exactly once");
-}
-
 ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
     : config_(std::move(config)), admission_(config_.admission) {
   config_.validate();
@@ -292,22 +247,6 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
       chips_[s]->apply_power_budget();
     }
   }
-}
-
-void ClusterFleet::set_telemetry(obs::Telemetry* telemetry) {
-  // Only enabled components are wired: every emission site tests one
-  // plain pointer, so detached/disabled telemetry stays off the hot path.
-  trace_ = telemetry != nullptr && telemetry->trace.enabled() ? &telemetry->trace : nullptr;
-  metrics_ =
-      telemetry != nullptr && telemetry->metrics.enabled() ? &telemetry->metrics : nullptr;
-  timers_ =
-      telemetry != nullptr && telemetry->timers.enabled() ? &telemetry->timers : nullptr;
-  for (std::size_t s = 0; s < chips_.size(); ++s) {
-    chips_[s]->set_trace(trace_);
-    if (!breakers_.empty()) breakers_[s].attach_trace(trace_, static_cast<int>(s));
-  }
-  if (brownout_) brownout_->attach_trace(trace_);
-  if (capper_) capper_->attach_trace(trace_);
 }
 
 int ClusterFleet::outstanding(int s) const {
@@ -440,12 +379,7 @@ bool ClusterFleet::any_core_busy() const {
   return false;
 }
 
-FleetResult ClusterFleet::run() {
-  return run(ShardPlan::serial(servers(), config_.seed), 1);
-}
-
-FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
-  plan.validate(servers());
+FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   if (threads <= 0) threads = sim::ThreadPool::default_threads();
   const double base_f = config_.frequency.value();
   const double max_s = static_cast<double>(config_.max_cycles) / base_f;
@@ -479,7 +413,20 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
         std::make_unique<fault::FaultInjector>(config_.faults, config_.seed, servers());
   }
 
-  // ---- Telemetry (all idle when detached; see set_telemetry) ----
+  // ---- Telemetry (all idle when detached) ----
+  // Only enabled components are wired: every emission site tests one
+  // plain pointer, so detached/disabled telemetry stays off the hot path.
+  trace_ = telemetry != nullptr && telemetry->trace.enabled() ? &telemetry->trace : nullptr;
+  metrics_ =
+      telemetry != nullptr && telemetry->metrics.enabled() ? &telemetry->metrics : nullptr;
+  timers_ =
+      telemetry != nullptr && telemetry->timers.enabled() ? &telemetry->timers : nullptr;
+  for (std::size_t s = 0; s < chips_.size(); ++s) {
+    chips_[s]->set_trace(trace_);
+    if (!breakers_.empty()) breakers_[s].attach_trace(trace_, static_cast<int>(s));
+  }
+  if (brownout_) brownout_->attach_trace(trace_);
+  if (capper_) capper_->attach_trace(trace_);
   obs::PhaseTimers::Scope run_scope(timers_, "fleet-run");
   if (trace_ != nullptr) {
     trace_->begin_run(servers());
@@ -1262,18 +1209,18 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
     return best;
   };
 
-  // ---- Sharded data plane ----
-  // Between barriers, each shard advances its contiguous chip range on
-  // its own worker. ChipServer::advance is chip-local by construction
+  // ---- Chip-granular data plane ----
+  // Between barriers, the pool's workers claim chips one at a time and
+  // advance them. ChipServer::advance is chip-local by construction
   // (clusters, slots, queue, accounting — it never touches fleet or
   // trace state), so the only cross-chip effect of the serial loop was
   // the completion sink. Completions are therefore staged into per-chip
   // buffers — advance() hands them over in deterministic cluster-major
   // order per chip — and drained serially in ascending chip index after
   // the quantum's barrier, which is exactly the order the serial loop
-  // invoked the sink. Every shard count and thread count (including the
-  // 1-shard serial plan, which runs the same staging path) thus produces
-  // bit-identical results and telemetry.
+  // invoked the sink. Which worker advanced which chip is unobservable,
+  // so every thread count (including 1, which runs the same staging
+  // path) produces bit-identical results and telemetry.
   std::vector<std::vector<Request>> staged(chips_.size());
   std::vector<std::function<void(const Request&)>> stage_sinks;
   stage_sinks.reserve(chips_.size());
@@ -1282,23 +1229,20 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
   }
   // One persistent pool per run (not per quantum): workers park on the
   // condition variable between quanta, so the per-quantum cost is one
-  // submit + one wait_idle barrier per shard.
-  const int pool_threads = std::min(threads, plan.shard_count());
+  // submit per worker plus one wait_idle barrier.
+  const int pool_threads = std::min(threads, servers());
   std::unique_ptr<sim::ThreadPool> pool;
   if (pool_threads > 1) pool = std::make_unique<sim::ThreadPool>(pool_threads);
-  auto advance_shard = [&](const ShardRange& sh) {
-    for (int s = sh.first_chip; s < sh.first_chip + sh.chips; ++s) {
-      auto& chip = *chips_[static_cast<std::size_t>(s)];
-      if (chip.in_transition(now_s)) continue;  // voltage domain mid-swing
-      chip.advance(now_s, dt, q, stage_sinks[static_cast<std::size_t>(s)]);
-    }
+  auto advance_chip = [&](std::size_t s) {
+    auto& chip = *chips_[s];
+    if (chip.in_transition(now_s)) return;  // voltage domain mid-swing
+    chip.advance(now_s, dt, q, stage_sinks[s]);
   };
   auto advance_chips = [&] {
     if (pool == nullptr) {
-      for (const auto& sh : plan.shards) advance_shard(sh);
+      for (std::size_t s = 0; s < chips_.size(); ++s) advance_chip(s);
     } else {
-      pool->run_indexed(plan.shards.size(),
-                        [&](std::size_t i) { advance_shard(plan.shards[i]); });
+      pool->run_indexed(chips_.size(), advance_chip);
     }
     for (auto& buf : staged) {
       for (const Request& req : buf) completion_sink(req);

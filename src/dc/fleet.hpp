@@ -27,17 +27,16 @@
 // distribution, QoS bound and steering class, and FleetResult reports
 // per-tenant percentiles, shed rates and an energy attribution.
 //
-// Intra-run parallelism: one fleet run shards its chips into contiguous
-// ranges (ShardPlan) and advances the shards on a worker pool between
-// epoch barriers. The data plane is shard-local by construction — a
-// chip's advance() touches only its own clusters, slots and queue — and
-// every completion is staged into a per-chip buffer, then drained
-// serially in ascending chip order, which is exactly the order the
-// serial loop produced. The control plane (dispatch, timeouts, hedges,
-// faults, and the epoch barrier where governor/balancer/brownout/
-// capper/autoscaler act) stays serial. Results and telemetry are
-// therefore bit-identical for ANY shard count and ANY NTSERV_THREADS;
-// sweep-level fan-out (dse::sweep_*, dc::run_scenarios) still
+// Intra-run parallelism: between epoch barriers, the workers of one pool
+// claim chips one at a time and advance them. The data plane is
+// chip-local by construction — a chip's advance() touches only its own
+// clusters, slots and queue — and every completion is staged into a
+// per-chip buffer, then drained serially in ascending chip order, which
+// is exactly the order the serial loop produced. The control plane
+// (dispatch, timeouts, hedges, faults, and the epoch barrier where
+// governor/balancer/brownout/capper/autoscaler act) stays serial.
+// Results and telemetry are therefore bit-identical for ANY worker
+// count; sweep-level fan-out (dse::sweep_*, dc::run_scenarios) still
 // parallelizes across whole operating points one level up.
 #pragma once
 
@@ -175,6 +174,8 @@ struct TenantResult {
   /// time (idle/sleep overhead is attributed proportionally with it).
   /// Zero for open-loop runs — attribute dc::fleet_energy by busy_share.
   Joule energy{0.0};
+
+  bool operator==(const TenantResult&) const = default;
 };
 
 struct FleetConfig {
@@ -268,44 +269,6 @@ struct FleetConfig {
   /// legacy single-tenant fields normalized into one entry (budget
   /// inheritance is resolved per tenant via TenantSpec::resolved_budget).
   [[nodiscard]] std::vector<TenantSpec> resolved_tenants() const;
-};
-
-/// One contiguous chip range advanced by a single worker between epoch
-/// barriers.
-struct ShardRange {
-  int shard = 0;       ///< index of this shard in its plan
-  int first_chip = 0;  ///< first chip index (inclusive)
-  int chips = 0;       ///< number of contiguous chips
-  /// Shard stream identity, derived from the fleet seed with the same
-  /// SplitMix derivation as the per-point sweep seeds. The determinism
-  /// contract (results bit-identical across shard counts) forbids any
-  /// result-affecting shard-local randomness, so the data plane never
-  /// draws from it; it seeds shard-local diagnostics (e.g. sampled
-  /// debug logging) so those too are reproducible per shard.
-  std::uint64_t seed = 0;
-};
-
-/// Deterministic partition of a fleet's chips into contiguous shards.
-/// The plan is a pure function of (servers, shard count, fleet seed):
-/// chips are split as evenly as possible, low-index shards taking the
-/// remainder. Because the sharded data plane stages completions per
-/// chip and drains them in ascending chip order, any plan over the same
-/// fleet yields bit-identical results — the shard count only chooses
-/// the parallel grain.
-struct ShardPlan {
-  std::vector<ShardRange> shards;
-
-  [[nodiscard]] int shard_count() const { return static_cast<int>(shards.size()); }
-
-  /// Single shard covering every chip: the serial execution grain.
-  [[nodiscard]] static ShardPlan serial(int servers, std::uint64_t fleet_seed);
-
-  /// Balanced plan with `shards` shards (clamped to [1, servers]);
-  /// shards <= 0 picks min(sim::ThreadPool::default_threads(), servers).
-  [[nodiscard]] static ShardPlan make(int servers, int shards, std::uint64_t fleet_seed);
-
-  /// A plan must tile [0, servers) contiguously with non-empty shards.
-  void validate(int servers) const;
 };
 
 /// Aggregate outcome of one fleet run.
@@ -441,13 +404,17 @@ struct FleetResult {
   /// At least one fault event was delivered (first_fault, recovered and
   /// time_to_recover describe the fault history).
   [[nodiscard]] bool has_fault_history() const { return faults_injected > 0; }
+
+  /// Structural equality over every field: the determinism contract is
+  /// bit-identity, so doubles compare exactly.
+  bool operator==(const FleetResult&) const = default;
 };
 
 /// N ChipServer instances behind one dispatcher.
 ///
 /// This is the execution engine; prefer driving it through
-/// dc::FleetRunner (dc/runner.hpp), which validates the config, builds
-/// the shard plan and wires telemetry through one options argument.
+/// dc::FleetRunner (dc/runner.hpp), which validates the config and
+/// passes threads and telemetry through one options argument.
 class ClusterFleet {
  public:
   /// Builds (and cache-warms) every chip. `build_threads` bounds the
@@ -469,30 +436,21 @@ class ClusterFleet {
   /// Queued + in-service requests on chip `s`.
   [[nodiscard]] int outstanding(int s) const;
 
-  /// Attach observability (may be null to detach). Only the *enabled*
-  /// components are wired: a disabled TraceSink costs the run exactly one
-  /// null-pointer test per emission site. Call before run(); the trace is
-  /// merged in canonical (time, chip, kind) order at each epoch barrier,
-  /// so the event stream is byte-identical for any NTSERV_THREADS.
-  ///
-  /// DEPRECATED as a public side channel: pass telemetry through
-  /// dc::RunOptions on dc::FleetRunner instead, which wires it here for
-  /// you. Kept public for the engine-level callers.
-  void set_telemetry(obs::Telemetry* telemetry);
-
   /// Drive arrivals until every offered request is completed or shed (or
-  /// max_cycles elapse), serially: equivalent to run(ShardPlan::serial,
-  /// 1). Deterministic — all randomness is seed-derived at construction.
-  [[nodiscard]] FleetResult run();
-
-  /// Sharded run: advance the plan's chip ranges on up to `threads`
-  /// workers between epoch barriers (threads <= 0 picks
-  /// sim::ThreadPool::default_threads()). Completions are staged per
+  /// max_cycles elapse). Deterministic — all randomness is seed-derived
+  /// at construction. Between epoch barriers, min(threads, servers())
+  /// workers claim and advance chips (threads <= 0 picks
+  /// sim::ThreadPool::default_threads()); completions are staged per
   /// chip and drained in ascending chip order at each quantum, and the
   /// control plane stays serial, so the result AND the telemetry stream
-  /// are bit-identical to the serial run for any plan and any thread
-  /// count.
-  [[nodiscard]] FleetResult run(const ShardPlan& plan, int threads);
+  /// are bit-identical for any thread count.
+  ///
+  /// `telemetry` (may be null) is wired at the start of the run; only its
+  /// *enabled* components are attached, so a disabled TraceSink costs
+  /// exactly one null-pointer test per emission site. The trace is merged
+  /// in canonical (time, chip, kind) order at each epoch barrier. Prefer
+  /// dc::FleetRunner, which passes dc::RunOptions through here.
+  [[nodiscard]] FleetResult run(int threads = 1, obs::Telemetry* telemetry = nullptr);
 
  private:
   /// One tenant's generators and running measurement.
@@ -562,7 +520,7 @@ class ClusterFleet {
   /// placement and the emergency-wake trigger both consult it.
   std::vector<int> chip_domain_;
   std::priority_queue<RetryEntry, std::vector<RetryEntry>, std::greater<>> retries_;
-  // Observability (null when detached/disabled; see set_telemetry).
+  // Observability (null when detached/disabled; wired by run()).
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::PhaseTimers* timers_ = nullptr;

@@ -1,4 +1,4 @@
-// The redesigned fleet-run API: build a config, plan shards, run.
+// The redesigned fleet-run API: build a config, run.
 //
 // dc::ClusterFleet grew as an engine — a ~30-field FleetConfig
 // god-struct with legacy single-tenant fields resolved at run time, plus
@@ -12,14 +12,13 @@
 //                         .requests(1'000'000, 10'000)
 //                         .build();   // tenant table normalized here
 //   FleetRunner runner{cfg};          // validates once
-//   FleetResult r = runner.run({.telemetry = &t, .shards = 8});
+//   FleetResult r = runner.run({.telemetry = &t, .threads = 8});
 //
 // FleetRunner::run() constructs a fresh engine per call, so every run is
-// an independent, identically-seeded experiment: sharded and serial
+// an independent, identically-seeded experiment: serial and parallel
 // execution share this one entry point, and RunOptions carries what used
 // to be set through setters. Results and telemetry are bit-identical for
-// any shards/threads choice (see fleet.hpp's sharded-data-plane
-// contract).
+// any thread count (see fleet.hpp's intra-run parallelism contract).
 #pragma once
 
 #include <cstdint>
@@ -31,19 +30,13 @@
 namespace ntserv::dc {
 
 /// Per-run options (a RunSession in all but name — the run owns them for
-/// its duration). Everything here defaults to the serial, untelemetered
-/// run; nothing mutates the FleetRunner.
+/// its duration). Everything here defaults to the untelemetered run at
+/// the default worker width; nothing mutates the FleetRunner.
 struct RunOptions {
   /// Observability bundle (trace/metrics/timers); only enabled
-  /// components are wired. Replaces the ClusterFleet::set_telemetry
-  /// side channel. Must outlive the run() call.
+  /// components are wired. Must outlive the run() call.
   obs::Telemetry* telemetry = nullptr;
-  /// Shard count for the intra-run data plane. 0 = auto:
-  /// min(sim::ThreadPool::default_threads(), servers). 1 = serial grain.
-  /// Any value yields bit-identical results; it only sets the parallel
-  /// grain.
-  int shards = 0;
-  /// Worker threads advancing the shards. 0 = auto
+  /// Worker threads advancing the chips (capped at the chip count). 0 = auto
   /// (sim::ThreadPool::default_threads(), i.e. NTSERV_THREADS). Also
   /// bounds the parallel chip-construction fan-out. Bit-identical for
   /// any value. Callers already inside a sweep worker should pass 1.
@@ -112,8 +105,8 @@ class FleetConfigBuilder {
   Second single_qos_{0.0};
 };
 
-/// One entry point for serial and sharded fleet execution:
-/// config validation -> shard plan -> run -> FleetResult.
+/// One entry point for serial and parallel fleet execution:
+/// config validation -> run -> FleetResult.
 ///
 /// The runner owns only the (validated) config; each run() constructs a
 /// fresh ClusterFleet, so runs are independent and repeatable — calling
@@ -126,12 +119,8 @@ class FleetRunner {
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
 
-  /// The shard plan run(options) will execute — exposed so callers and
-  /// tests can inspect the partition (deterministic in (config, options)).
-  [[nodiscard]] ShardPlan plan(const RunOptions& options = {}) const;
-
   /// Execute one run under `options`. Bit-identical results and
-  /// telemetry for any shards/threads combination.
+  /// telemetry for any thread count.
   [[nodiscard]] FleetResult run(const RunOptions& options = {}) const;
 
  private:

@@ -704,13 +704,13 @@ FleetResult run_scenario(const Scenario& scenario, Hertz f, const RunOptions& op
 FleetResult run_scenario(const Scenario& scenario, Hertz f) {
   // Serial grain by default: scenario runs usually ride inside a
   // sweep-level fan-out (run_scenarios, dse::sweep_*) that already owns
-  // the cores. Callers wanting the sharded data plane pass RunOptions.
-  return run_scenario(scenario, f, RunOptions{.shards = 1, .threads = 1});
+  // the cores. Callers wanting the parallel data plane pass RunOptions.
+  return run_scenario(scenario, f, RunOptions{.threads = 1});
 }
 
 FleetResult run_scenario(const Scenario& scenario, Hertz f, obs::Telemetry* telemetry) {
   return run_scenario(scenario, f,
-                      RunOptions{.telemetry = telemetry, .shards = 1, .threads = 1});
+                      RunOptions{.telemetry = telemetry, .threads = 1});
 }
 
 obs::TraceMeta trace_meta(const Scenario& scenario) {

@@ -86,9 +86,9 @@ struct Scenario {
                                    std::uint64_t user_instructions_per_request);
 
 /// Run one scenario at frequency `f` under explicit dc::RunOptions
-/// (telemetry, shard count, worker threads) through dc::FleetRunner —
-/// the one entry point serial and sharded execution share. Results and
-/// telemetry are bit-identical for any options.shards/threads.
+/// (telemetry, worker threads) through dc::FleetRunner — the one entry
+/// point serial and parallel execution share. Results and telemetry are
+/// bit-identical for any options.threads.
 [[nodiscard]] FleetResult run_scenario(const Scenario& scenario, Hertz f,
                                        const RunOptions& options);
 

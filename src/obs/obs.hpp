@@ -278,8 +278,8 @@ class PhaseTimers {
   std::vector<Bucket> buckets_;  ///< insertion order (deterministic report)
 };
 
-/// The bundle a caller attaches to a fleet run (dc::ClusterFleet::
-/// set_telemetry, dc::run_scenario overload). Components are engaged
+/// The bundle a caller attaches to a fleet run (dc::RunOptions::telemetry,
+/// dc::run_scenario overload). Components are engaged
 /// individually via enable(); a default-constructed bundle is inert.
 struct Telemetry {
   TraceSink trace;

@@ -235,6 +235,8 @@ struct RouterEpoch {
   bool offpeak = false;     ///< preference that held *during* this epoch
   std::vector<std::uint64_t> routed; ///< dispatches per group this epoch
   std::uint64_t fallback = 0; ///< dispatches that left their preferred group
+
+  bool operator==(const RouterEpoch&) const = default;
 };
 
 /// Steers dispatch between tech-heterogeneous chip groups. The standing

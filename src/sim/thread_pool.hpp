@@ -4,13 +4,16 @@
 // simulations (one fresh cluster per operating point), so they
 // parallelize with no shared mutable state: each task writes only its own
 // result slot. The pool is deliberately minimal — a locked queue and a
-// wait_idle() barrier — because tasks are seconds-long simulations, not
-// microtasks; queue contention is irrelevant.
+// wait_idle() barrier. Index fan-outs (run_indexed) submit one claimer
+// per worker, not one task per index, so the queue is touched a handful
+// of times per fan-out even when the fleet fans out every quantum.
 //
 // The default worker count comes from the NTSERV_THREADS environment
 // variable, falling back to the hardware concurrency.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdlib>
@@ -63,23 +66,30 @@ class ThreadPool {
     cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
   }
 
-  /// Run body(i) for i in [0, n) on the pool and barrier: submit all,
-  /// wait_idle, rethrow the first captured exception. Unlike
-  /// parallel_for_index this reuses a live pool, so callers with a
-  /// per-step fan-out (the sharded fleet advances every quantum) pay a
-  /// submit + barrier, not a pool construction. Each index must write
-  /// only its own state.
+  /// Run body(i) for every i in [0, n) on the pool, then barrier.
+  /// min(n, size()) claimer tasks pull indices from one shared atomic
+  /// counter until n is used up, so a worker that finishes early takes
+  /// the next index instead of idling; the handoff cost is one submit
+  /// per worker plus one wait_idle barrier, whatever n is. The first
+  /// exception any index throws is rethrown after the barrier (the
+  /// remaining indices still run). Each index must write only its own
+  /// state. Reusing a live pool lets per-step fan-outs (the fleet
+  /// advances its chips every quantum) skip pool construction.
   template <typename Body>
   void run_indexed(std::size_t n, Body&& body) {
+    std::atomic<std::size_t> next{0};
     std::mutex err_mu;
     std::exception_ptr err;
-    for (std::size_t i = 0; i < n; ++i) {
-      submit([&body, &err_mu, &err, i] {
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!err) err = std::current_exception();
+    const std::size_t claimers = std::min(n, static_cast<std::size_t>(size()));
+    for (std::size_t c = 0; c < claimers; ++c) {
+      submit([&body, &next, &err_mu, &err, n] {
+        for (std::size_t i = next++; i < n; i = next++) {
+          try {
+            body(i);
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(err_mu);
+            if (!err) err = std::current_exception();
+          }
         }
       });
     }
@@ -141,20 +151,7 @@ void parallel_for_index(int threads, std::size_t n, Body&& body) {
     return;
   }
   ThreadPool pool{threads};
-  std::mutex err_mu;
-  std::exception_ptr err;
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&body, &err_mu, &err, i] {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-  if (err) std::rethrow_exception(err);
+  pool.run_indexed(n, body);
 }
 
 }  // namespace ntserv::sim

@@ -174,11 +174,9 @@ Serialized run_with_telemetry(const dc::Scenario& s) {
   t.trace.enable();
   t.metrics.enable();
   Serialized out;
-  // Telemetry rides on RunOptions (no set_telemetry side channel); the
-  // serial single-shard plan keeps this the reference stream the
-  // thread-count sweep below compares against.
-  out.result = dc::run_scenario(
-      s, ghz(2.0), dc::RunOptions{.telemetry = &t, .shards = 1, .threads = 1});
+  // Telemetry rides on RunOptions; the serial run keeps this the
+  // reference stream the thread-count sweep below compares against.
+  out.result = dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &t, .threads = 1});
   std::ostringstream a, b, c, d;
   t.trace.write_jsonl(a);
   write_chrome_trace(b, t.trace, dc::trace_meta(s), &t.metrics);
@@ -227,7 +225,7 @@ TEST(ObsConservation, EveryAdmitIsDisposedExactlyOnce) {
   t.trace.enable();
   const dc::Scenario s = dc::Scenario::by_name("rack-loss-web");
   const auto result =
-      dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &t, .shards = 1, .threads = 1});
+      dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &t, .threads = 1});
   std::uint64_t admits = 0, completes = 0, sheds = 0, brownout_sheds = 0, timeouts = 0;
   for (const auto& e : t.trace.events()) {
     switch (e.kind) {

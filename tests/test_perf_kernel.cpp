@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <vector>
 
 #include "ntserv/ntserv.hpp"
 
@@ -195,6 +197,36 @@ TEST(SweepDeterminism, ThreadPoolRunsAllTasks) {
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 64);
+}
+
+TEST(SweepDeterminism, RunIndexedRunsEveryIndexExactlyOnce) {
+  sim::ThreadPool pool{4};
+  // n = 0, n below the pool width, and n far above it: the claimers must
+  // hand out every index once and only once.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.run_indexed(n, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(SweepDeterminism, RunIndexedRethrowsAfterTheBarrierAndStaysUsable) {
+  sim::ThreadPool pool{4};
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.run_indexed(64,
+                                [&ran](std::size_t i) {
+                                  ++ran;
+                                  if (i == 17) throw std::runtime_error("index 17");
+                                }),
+               std::runtime_error);
+  // The throw does not cut the fan-out short: the barrier waits for
+  // every index before the exception surfaces.
+  EXPECT_EQ(ran.load(), 64);
+  std::atomic<int> after{0};
+  pool.run_indexed(32, [&after](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 32);
 }
 
 }  // namespace
