@@ -118,6 +118,19 @@ void BM_SweepParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepParallel)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
+/// The fork-join handoff alone: one empty fan-out of Arg indices on a
+/// 4-wide pool, back to back, as the fleet issues one per quantum. The
+/// reported time per iteration is the per-quantum handoff cost in us.
+void BM_PoolHandoff(benchmark::State& state) {
+  sim::ThreadPool pool{4};
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    pool.run_indexed(n, [](std::size_t i) { benchmark::DoNotOptimize(i); });
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PoolHandoff)->Arg(32)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
 /// One closed-loop fleet run (governed dispatch, epochs, admission,
 /// budgets): the whole src/ctrl + src/dc serving stack end to end, sized
 /// for bench turnaround. Range arg 0 = open loop at 2 GHz, 1 = NTC-boost

@@ -1227,9 +1227,10 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   for (auto& buf : staged) {
     stage_sinks.emplace_back([&buf](const Request& req) { buf.push_back(req); });
   }
-  // One persistent pool per run (not per quantum): workers park on the
-  // condition variable between quanta, so the per-quantum cost is one
-  // submit per worker plus one wait_idle barrier.
+  // One persistent pool per run (not per quantum): this thread and the
+  // pool's helpers form the team, and the helpers spin briefly, then park,
+  // between quanta, so the per-quantum cost is one generation bump plus
+  // one pending-count barrier.
   const int pool_threads = std::min(threads, servers());
   std::unique_ptr<sim::ThreadPool> pool;
   if (pool_threads > 1) pool = std::make_unique<sim::ThreadPool>(pool_threads);
@@ -1239,11 +1240,15 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     chip.advance(now_s, dt, q, stage_sinks[s]);
   };
   auto advance_chips = [&] {
-    if (pool == nullptr) {
-      for (std::size_t s = 0; s < chips_.size(); ++s) advance_chip(s);
-    } else {
-      pool->run_indexed(chips_.size(), advance_chip);
+    {
+      obs::PhaseTimers::Scope advance_scope(timers_, "fleet-advance");
+      if (pool == nullptr) {
+        for (std::size_t s = 0; s < chips_.size(); ++s) advance_chip(s);
+      } else {
+        pool->run_indexed(chips_.size(), advance_chip);
+      }
     }
+    obs::PhaseTimers::Scope drain_scope(timers_, "fleet-drain");
     for (auto& buf : staged) {
       for (const Request& req : buf) completion_sink(req);
       buf.clear();

@@ -244,9 +244,11 @@ class PhaseTimers {
   /// RAII scope: accumulates the scope's wall time into `phase`.
   class Scope {
    public:
+    /// A null `timers` detaches the scope: it reads no clock at all.
     Scope(PhaseTimers* timers, const char* phase)
         : timers_(timers), phase_(phase),
-          start_(std::chrono::steady_clock::now()) {}
+          start_(timers != nullptr ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point{}) {}
     ~Scope() {
       if (timers_ == nullptr) return;
       const auto dt = std::chrono::steady_clock::now() - start_;

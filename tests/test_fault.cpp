@@ -369,28 +369,17 @@ TEST(FaultConfig, ValidationRejectsBadConfigs) {
 
 TEST(FaultDomains, RackLossScenarioIsThreadCountInvariant) {
   // The domain outage, the brownout ladder, the breakers and the
-  // emergency wake all act at the epoch barrier inside one run's
-  // single-threaded loop; NTSERV_THREADS only spreads independent runs
-  // over a pool, so the faulted scenario is bit-identical at any width.
-  const std::vector<dc::Scenario> scenarios = {dc::Scenario::by_name("rack-loss-web")};
-  const auto one = dc::run_scenarios(scenarios, ghz(2.0), 1);
-  const auto four = dc::run_scenarios(scenarios, ghz(2.0), 4);
-  ASSERT_EQ(one.size(), 1u);
-  ASSERT_EQ(four.size(), 1u);
-  const dc::FleetResult& a = one[0];
-  const dc::FleetResult& b = four[0];
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.span_cycles, b.span_cycles);
-  EXPECT_DOUBLE_EQ(a.p99.value(), b.p99.value());
-  EXPECT_DOUBLE_EQ(a.energy.value(), b.energy.value());
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.brownout_shed, b.brownout_shed);
-  EXPECT_EQ(a.brownout_epochs, b.brownout_epochs);
-  EXPECT_EQ(a.brownout_stage_epochs, b.brownout_stage_epochs);
-  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-  EXPECT_EQ(a.emergency_wakes, b.emergency_wakes);
-  EXPECT_EQ(a.autoscale_unparks, b.autoscale_unparks);
-  EXPECT_DOUBLE_EQ(a.wake_energy.value(), b.wake_energy.value());
+  // emergency wake all act on the coordinating thread between quanta;
+  // only the chips' own advance runs on the pool's workers, with its
+  // completions drained in chip order. So the faulted run is
+  // bit-identical at any worker count.
+  const dc::Scenario scenario = dc::Scenario::by_name("rack-loss-web");
+  const dc::FleetResult one =
+      dc::run_scenario(scenario, ghz(2.0), dc::RunOptions{.threads = 1});
+  const dc::FleetResult four =
+      dc::run_scenario(scenario, ghz(2.0), dc::RunOptions{.threads = 4});
+  EXPECT_GT(one.faults_injected, 0u);
+  EXPECT_TRUE(one == four);
 }
 
 }  // namespace

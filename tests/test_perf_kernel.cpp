@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <filesystem>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ntserv/ntserv.hpp"
@@ -189,14 +193,57 @@ TEST(SweepDeterminism, SameResultsForOneAndManyThreads) {
   }
 }
 
-TEST(SweepDeterminism, ThreadPoolRunsAllTasks) {
-  sim::ThreadPool pool{3};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&count] { ++count; });
+TEST(SweepDeterminism, BackToBackFanOutsRunEveryIndexOnceAndPublishTheirWrites) {
+  // The fleet fans out once per quantum, so the next fan-out usually
+  // starts while the helpers are still spinning on the previous one.
+  // `seen` is written without atomics: each index belongs to one thread
+  // per fan-out, and the barrier must make those writes visible to the
+  // caller (and to the next fan-out's claimers). ThreadSanitizer reports
+  // a missing happens-before edge here as a race.
+  sim::ThreadPool pool{4};
+  constexpr std::size_t n = 32;
+  constexpr std::uint32_t rounds = 10'000;
+  std::vector<std::uint32_t> seen(n, 0);
+  for (std::uint32_t round = 1; round <= rounds; ++round) {
+    pool.run_indexed(n, [&seen](std::size_t i) { ++seen[i]; });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(seen[i], round) << "round " << round << " i=" << i;
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 64);
+}
+
+TEST(SweepDeterminism, WidthOnePoolRunsOnTheCallerAndStartsNoThread) {
+  const auto live_threads = [] {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++count;
+    }
+    return count;
+  };
+  const bool has_proc = std::filesystem::exists("/proc/self/task");
+  const std::size_t before = has_proc ? live_threads() : 0;
+  sim::ThreadPool pool{1};
+  EXPECT_EQ(pool.size(), 1);
+  if (has_proc) EXPECT_LE(live_threads(), before);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(8);
+  pool.run_indexed(ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(SweepDeterminism, DestroyingAPoolWithParkedHelpersReturns) {
+  // Never used: the helpers may not have reached their first wait yet.
+  { sim::ThreadPool pool{4}; }
+  // Used, then idle far past the spin budget, so every helper is parked
+  // on the generation counter when the destructor runs.
+  sim::ThreadPool pool{4};
+  std::atomic<int> ran{0};
+  pool.run_indexed(8, [&ran](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 8);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
 
 TEST(SweepDeterminism, RunIndexedRunsEveryIndexExactlyOnce) {
