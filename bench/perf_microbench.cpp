@@ -147,7 +147,8 @@ void BM_ClosedLoopFleet(benchmark::State& state) {
   obs::Telemetry telemetry;
   telemetry.timers.enable();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dc::run_scenario(s, ghz(2.0), &telemetry));
+    benchmark::DoNotOptimize(
+        dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &telemetry, .threads = 1}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(s.requests));

@@ -174,7 +174,7 @@ void ChipServer::start_services(double now_s) {
 }
 
 void ChipServer::advance(double now_s, double dt, Cycle quantum,
-                         const std::function<void(const Request&)>& on_complete) {
+                         std::vector<Request>& completed) {
   if (down_) return;             // crashed: no service, no active time
   if (busy_cores_ == 0) return;  // whole chip asleep (fleet-level event skip)
 
@@ -234,7 +234,7 @@ void ChipServer::advance(double now_s, double dt, Cycle quantum,
                 : 1.0;
         slot.request.completion_s = now_s + frac * served_dt;
         if (governor_ != nullptr) epoch_latencies_.push_back(slot.request.latency_s());
-        on_complete(slot.request);
+        completed.push_back(slot.request);
         if (!queue_.empty()) {
           // Back-to-back service: the next queued request starts at the
           // interpolated completion instant, and the instructions the

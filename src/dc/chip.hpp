@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -188,10 +187,9 @@ class ChipServer {
   /// of the fleet's base clock). The chip's clusters advance
   /// quantum * f_chip / f_base cycles (fractional cycles carried across
   /// quanta), so a descended chip serves proportionally fewer
-  /// instructions per quantum. Completed requests are handed to
-  /// `on_complete` in deterministic (cluster-major, slot-minor) order.
-  void advance(double now_s, double dt, Cycle quantum,
-               const std::function<void(const Request&)>& on_complete);
+  /// instructions per quantum. Completed requests are appended to
+  /// `completed` in deterministic (cluster-major, slot-minor) order.
+  void advance(double now_s, double dt, Cycle quantum, std::vector<Request>& completed);
 
   // ---- Governor / epochs ----
   /// Attach this chip's governor instance (fleet-built; `manager` must

@@ -65,17 +65,6 @@ void ResilienceConfig::validate() const {
   }
 }
 
-std::vector<TenantSpec> FleetConfig::resolved_tenants() const {
-  if (!tenants.empty()) return tenants;
-  TenantSpec t;
-  t.arrival = arrival;
-  t.budget = budget;
-  t.user_instructions_per_request = user_instructions_per_request;
-  t.requests = requests;
-  t.warmup_requests = warmup_requests;
-  return {t};
-}
-
 void FleetConfig::validate() const {
   profile.validate();
   NTSERV_EXPECTS(servers > 0, "fleet needs at least one chip");
@@ -83,9 +72,11 @@ void FleetConfig::validate() const {
   NTSERV_EXPECTS(frequency.value() > 0.0, "core frequency must be positive");
   NTSERV_EXPECTS(quantum > 0, "quantum must be positive");
   NTSERV_EXPECTS(pack_depth_per_core > 0.0, "pack depth must be positive");
-  const auto resolved = resolved_tenants();
+  NTSERV_EXPECTS(!tenants.empty(),
+                 "FleetConfig::tenants is empty: a fleet needs at least one tenant "
+                 "(FleetConfigBuilder's single-tenant setters fill one)");
   std::set<std::string> names;
-  for (const auto& t : resolved) {
+  for (const auto& t : tenants) {
     t.validate();
     NTSERV_EXPECTS(names.insert(t.name).second, "tenant names must be unique");
   }
@@ -153,13 +144,13 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
           std::make_unique<pm::PowerManager>(ctrl::make_power_manager(config_.governor)));
     }
   }
-  const auto specs = config_.resolved_tenants();
+  const auto& specs = config_.tenants;
   tenants_.reserve(specs.size());
   for (std::size_t t = 0; t < specs.size(); ++t) {
     TenantState state;
     state.spec = specs[t];
-    // Per-tenant streams keyed by tenant index: tenant 0 reproduces the
-    // legacy single-tenant seeds exactly.
+    // Per-tenant streams keyed by tenant index: appending a tenant leaves
+    // every earlier tenant's arrivals and budgets unchanged.
     state.arrivals = std::make_unique<ArrivalProcess>(
         specs[t].arrival, derive_seed(config_.seed, 0xA441ull + t));
     state.budgets = std::make_unique<ctrl::BudgetSampler>(
@@ -607,6 +598,24 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     return status;
   };
 
+  // Split the fleet cap over the chips, reserving sleep power for the
+  // parked ones. With `apply`, each chip clamps its current operating
+  // point at once (no transition stall) instead of at its next decision.
+  auto split_cap = [&](bool apply) {
+    const auto status = chip_status();
+    Watt reserved{0.0};
+    for (const auto& st : status) {
+      if (st.parked && !st.down) {
+        reserved += managers_[static_cast<std::size_t>(st.group)]->sleep_power();
+      }
+    }
+    const std::vector<Watt> budgets = capper_->split(status, reserved);
+    for (std::size_t s = 0; s < chips_.size(); ++s) {
+      chips_[s]->set_power_budget(budgets[s]);
+      if (apply) chips_[s]->apply_power_budget();
+    }
+  };
+
   // Close the epoch on every chip: record, charge energy, and (unless
   // final) take each chip's next decision, beginning its transition
   // stall on a change. Orchestration lives at this barrier too: cap
@@ -622,19 +631,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     // append-only determinism contract.
     const double trace_watermark = epoch_start_s_;
     const double duration = now_s - epoch_start_s_;
-    if (capper_) {
-      const auto status = chip_status();
-      Watt reserved{0.0};
-      for (const auto& st : status) {
-        if (st.parked && !st.down) {
-          reserved += managers_[static_cast<std::size_t>(st.group)]->sleep_power();
-        }
-      }
-      const std::vector<Watt> budgets = capper_->split(status, reserved);
-      for (std::size_t s = 0; s < chips_.size(); ++s) {
-        chips_[s]->set_power_budget(budgets[s]);
-      }
-    }
+    if (capper_) split_cap(false);
     double epoch_energy_j = 0.0;
     std::vector<double> chip_power_w;
     if (metrics_ != nullptr) chip_power_w.assign(chips_.size(), 0.0);
@@ -753,18 +750,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
         // pre-action fleet; re-split over the post-action survivors so a
         // newly-woken chip does not serve an entire epoch on a zero
         // budget. Applied without a transition stall (same barrier).
-        const auto status = chip_status();
-        Watt reserved{0.0};
-        for (const auto& st : status) {
-          if (st.parked && !st.down) {
-            reserved += managers_[static_cast<std::size_t>(st.group)]->sleep_power();
-          }
-        }
-        const std::vector<Watt> budgets = capper_->split(status, reserved);
-        for (std::size_t s = 0; s < chips_.size(); ++s) {
-          chips_[s]->set_power_budget(budgets[s]);
-          chips_[s]->apply_power_budget();
-        }
+        split_cap(true);
       }
     }
     if (metrics_ != nullptr) {
@@ -855,7 +841,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   // The first live copy to complete wins; every sibling is cancelled and
   // the request is disposed. Late completions of abandoned copies are
   // counted as wasted work, never measured twice.
-  const std::function<void(const Request&)> completion_sink = [&](const Request& req) {
+  auto completion_sink = [&](const Request& req) {
     // Any completion — even of an abandoned copy — proves the chip can
     // serve, so the breaker credit lands before the dead-copy discard.
     if (!breakers_.empty()) {
@@ -1222,11 +1208,6 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   // so every thread count (including 1, which runs the same staging
   // path) produces bit-identical results and telemetry.
   std::vector<std::vector<Request>> staged(chips_.size());
-  std::vector<std::function<void(const Request&)>> stage_sinks;
-  stage_sinks.reserve(chips_.size());
-  for (auto& buf : staged) {
-    stage_sinks.emplace_back([&buf](const Request& req) { buf.push_back(req); });
-  }
   // One persistent pool per run (not per quantum): this thread and the
   // pool's helpers form the team, and the helpers spin briefly, then park,
   // between quanta, so the per-quantum cost is one generation bump plus
@@ -1237,7 +1218,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   auto advance_chip = [&](std::size_t s) {
     auto& chip = *chips_[s];
     if (chip.in_transition(now_s)) return;  // voltage domain mid-swing
-    chip.advance(now_s, dt, q, stage_sinks[s]);
+    chip.advance(now_s, dt, q, staged[s]);
   };
   auto advance_chips = [&] {
     {

@@ -76,14 +76,16 @@ enum class BalancePolicy {
 [[nodiscard]] const char* to_string(BalancePolicy p);
 
 /// One co-located traffic class: its own arrivals, budgets, QoS bound and
-/// steering class. A single-tenant fleet is the degenerate case (the
-/// legacy FleetConfig fields are normalized into one TenantSpec).
+/// steering class. A single-tenant fleet is the degenerate case: a tenant
+/// table of one entry.
 struct TenantSpec {
   std::string name = "default";
   ArrivalConfig arrival;
   /// Per-request instruction budget; budget.mean == 0 inherits
   /// user_instructions_per_request.
   ctrl::BudgetConfig budget;
+  /// Constant user-instruction cost of one request (paper Sec. V-A); the
+  /// mean when `budget` selects a distribution.
   std::uint64_t user_instructions_per_request = 8'000;
   /// Steering class for BalancePolicy::kGovernorAware: latency-critical
   /// tenants avoid descending chips, batch tenants soak them.
@@ -92,6 +94,9 @@ struct TenantSpec {
   /// Reported against the measured per-tenant p99; also the bound the
   /// consolidation sweeps (dse::sweep_consolidation) size fleets against.
   Second qos_p99_limit{0.0};
+  /// Measured completions (after warmup_requests unmeasured ones) when
+  /// nothing is shed; with admission control, offered requests beyond the
+  /// warmup ids that get shed reduce the measured count.
   std::uint64_t requests = 400;
   std::uint64_t warmup_requests = 40;
 
@@ -187,14 +192,6 @@ struct FleetConfig {
   /// scale-out chip; 1 reproduces the old one-cluster-per-server fleet).
   int servers = 2;
   int clusters_per_chip = 1;
-  /// DEPRECATED single-tenant field (see the note at `tenants`): the
-  /// constant user-instruction cost of one request (paper Sec. V-A); the
-  /// mean when `budget` selects a distribution.
-  std::uint64_t user_instructions_per_request = 8'000;
-  /// DEPRECATED single-tenant field: per-request instruction-budget
-  /// distribution. budget.mean == 0 inherits
-  /// user_instructions_per_request as the mean.
-  ctrl::BudgetConfig budget;
   /// Saturation control: queue-depth admission with client back-off.
   ctrl::AdmissionConfig admission;
   /// Closed-loop DVFS control; kind == kNone runs open loop at
@@ -202,25 +199,12 @@ struct FleetConfig {
   /// one governor per chip (per-chip DVFS).
   ctrl::GovernorConfig governor;
   BalancePolicy policy = BalancePolicy::kLeastLoaded;
-  /// DEPRECATED single-tenant field (see the note at `tenants`).
-  ArrivalConfig arrival;
-  /// Co-located tenants — the canonical traffic description. Empty means
-  /// single-tenant: the DEPRECATED legacy fields (arrival, budget,
-  /// requests, warmup_requests, user_instructions_per_request) form
-  /// tenant 0 via resolved_tenants(). New code should not set the legacy
-  /// fields directly: build configs through dc::FleetConfigBuilder
-  /// (dc/runner.hpp), which normalizes them into this table at build()
-  /// and keeps the legacy mirror consistent. The fields stay readable
-  /// for back-compat; they will lose their config-input role once the
-  /// last external caller migrates.
+  /// The traffic: one entry per co-located tenant (arrivals, budgets,
+  /// request counts, QoS bound, steering class), in config order. The
+  /// only traffic description, so it must not be empty; a single-tenant
+  /// fleet is a table of one, which dc::FleetConfigBuilder's
+  /// single-tenant setters (dc/runner.hpp) fill at build().
   std::vector<TenantSpec> tenants;
-  /// DEPRECATED single-tenant field: measured completions (after
-  /// warmup_requests unmeasured ones) when nothing is shed; with
-  /// admission control, offered requests beyond the warmup ids that get
-  /// shed reduce the measured count.
-  std::uint64_t requests = 400;
-  /// DEPRECATED single-tenant field.
-  std::uint64_t warmup_requests = 40;
   std::uint64_t seed = 1;
   /// Simulation step between dispatch/completion checks, in cycles of the
   /// base `frequency` (the master clock; per-chip DVFS scales the cycles
@@ -264,11 +248,6 @@ struct FleetConfig {
   orch::OrchestratorConfig orchestration;
 
   void validate() const;
-
-  /// The tenant table the fleet actually runs: `tenants` verbatim, or the
-  /// legacy single-tenant fields normalized into one entry (budget
-  /// inheritance is resolved per tenant via TenantSpec::resolved_budget).
-  [[nodiscard]] std::vector<TenantSpec> resolved_tenants() const;
 };
 
 /// Aggregate outcome of one fleet run.
@@ -333,7 +312,7 @@ struct FleetResult {
   std::vector<double> server_active_fraction;
   Cycle span_cycles = 0;              ///< span in base-frequency cycle equivalents
   Second span_seconds{0.0};
-  /// Per-tenant slices (one entry per resolved tenant, in config order).
+  /// Per-tenant slices (one entry per configured tenant, in config order).
   std::vector<TenantResult> tenants;
 
   // ---- Closed-loop outcome (zero/empty when governor.kind == kNone) ----

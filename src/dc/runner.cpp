@@ -95,62 +95,48 @@ FleetConfigBuilder& FleetConfigBuilder::orchestration(orch::OrchestratorConfig o
 }
 
 FleetConfigBuilder& FleetConfigBuilder::tenant(TenantSpec t) {
-  explicit_tenants_ = true;
   cfg_.tenants.push_back(std::move(t));
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::arrival(ArrivalConfig a) {
   single_tenant_touched_ = true;
-  cfg_.arrival = a;
+  single_.arrival = a;
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::budget(ctrl::BudgetConfig b) {
   single_tenant_touched_ = true;
-  cfg_.budget = b;
+  single_.budget = b;
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::request_cost(std::uint64_t user_instructions) {
   single_tenant_touched_ = true;
-  cfg_.user_instructions_per_request = user_instructions;
+  single_.user_instructions_per_request = user_instructions;
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::requests(std::uint64_t measured,
                                                  std::uint64_t warmup) {
   single_tenant_touched_ = true;
-  cfg_.requests = measured;
-  cfg_.warmup_requests = warmup;
+  single_.requests = measured;
+  single_.warmup_requests = warmup;
   return *this;
 }
 
 FleetConfigBuilder& FleetConfigBuilder::qos_p99_limit(Second bound) {
   single_tenant_touched_ = true;
-  single_qos_ = bound;
+  single_.qos_p99_limit = bound;
   return *this;
 }
 
 FleetConfig FleetConfigBuilder::build() const {
-  NTSERV_EXPECTS(!(single_tenant_touched_ && (explicit_tenants_ || !cfg_.tenants.empty())),
+  NTSERV_EXPECTS(!(single_tenant_touched_ && !cfg_.tenants.empty()),
                  "describe traffic either with tenant() / a base tenant table or "
                  "with the single-tenant setters, not both");
   FleetConfig cfg = cfg_;
-  if (cfg.tenants.empty()) {
-    // Normalize exactly as FleetConfig::resolved_tenants() resolves the
-    // legacy fields, so builder-made configs reproduce legacy-field
-    // configs bit for bit.
-    cfg.tenants = cfg.resolved_tenants();
-    cfg.tenants[0].qos_p99_limit = single_qos_;
-  }
-  // Keep the deprecated legacy fields a consistent mirror of tenant 0:
-  // anything still reading them (back-compat) sees the normalized truth.
-  cfg.arrival = cfg.tenants[0].arrival;
-  cfg.budget = cfg.tenants[0].budget;
-  cfg.user_instructions_per_request = cfg.tenants[0].user_instructions_per_request;
-  cfg.requests = cfg.tenants[0].requests;
-  cfg.warmup_requests = cfg.tenants[0].warmup_requests;
+  if (cfg.tenants.empty()) cfg.tenants = {single_};
   cfg.validate();
   return cfg;
 }

@@ -1,24 +1,23 @@
 // The redesigned fleet-run API: build a config, run.
 //
-// dc::ClusterFleet grew as an engine — a ~30-field FleetConfig
-// god-struct with legacy single-tenant fields resolved at run time, plus
-// a call-before-run() telemetry side channel. This header fronts it with
-// the composable surface new code should use:
+// dc::ClusterFleet is the engine and FleetConfig its plain-data input,
+// whose tenant table is the only traffic description. This header fronts
+// both with the composable surface new code should use:
 //
 //   FleetConfig cfg = FleetConfigBuilder{}
 //                         .profile(workload::WorkloadProfile::web_search())
 //                         .shape(/*servers=*/64)
 //                         .arrival({.kind = ArrivalKind::kDiurnal, .rate = 4e6})
 //                         .requests(1'000'000, 10'000)
-//                         .build();   // tenant table normalized here
+//                         .build();   // tenant 0 filled from the setters
 //   FleetRunner runner{cfg};          // validates once
 //   FleetResult r = runner.run({.telemetry = &t, .threads = 8});
 //
 // FleetRunner::run() constructs a fresh engine per call, so every run is
 // an independent, identically-seeded experiment: serial and parallel
-// execution share this one entry point, and RunOptions carries what used
-// to be set through setters. Results and telemetry are bit-identical for
-// any thread count (see fleet.hpp's intra-run parallelism contract).
+// execution share this one entry point, and RunOptions carries the
+// telemetry and the worker count. Results and telemetry are bit-identical
+// for any thread count (see fleet.hpp's intra-run parallelism contract).
 #pragma once
 
 #include <cstdint>
@@ -43,21 +42,17 @@ struct RunOptions {
   int threads = 0;
 };
 
-/// Fluent construction of a FleetConfig that normalizes the traffic
-/// description into the tenant table at build(): the single-tenant
-/// convenience setters (arrival/budget/request_cost/requests) become
-/// tenant 0 exactly as FleetConfig::resolved_tenants() would resolve
-/// them, so builder-made configs are bit-identical to legacy-field
-/// configs — with `tenants` always populated and the deprecated legacy
-/// fields kept as a read-only mirror of tenant 0 for back-compat.
-/// Mixing explicit tenant() calls with the single-tenant setters is
-/// rejected at build().
+/// Fluent construction of a FleetConfig. The single-tenant setters
+/// (arrival/budget/request_cost/requests/qos_p99_limit) fill one
+/// builder-held TenantSpec, which build() uses as the whole tenant table
+/// when no tenant() was given. Mixing explicit tenant() calls (or a base
+/// config's tenant table) with the single-tenant setters is rejected at
+/// build().
 class FleetConfigBuilder {
  public:
   FleetConfigBuilder() = default;
   /// Start from an existing config (e.g. a scenario expansion) and
-  /// override selectively. Legacy single-tenant fields of `base` are
-  /// honored exactly like resolved_tenants() honors them.
+  /// override selectively; `base`'s tenant table is kept.
   explicit FleetConfigBuilder(FleetConfig base) : cfg_(std::move(base)) {}
 
   FleetConfigBuilder& profile(workload::WorkloadProfile p);
@@ -84,25 +79,24 @@ class FleetConfigBuilder {
   /// Append one explicit tenant (multi-tenant configs).
   FleetConfigBuilder& tenant(TenantSpec t);
 
-  // Single-tenant conveniences: folded into tenant 0 at build().
+  // Single-tenant conveniences: they fill the tenant build() uses when
+  // no tenant() was given.
   FleetConfigBuilder& arrival(ArrivalConfig a);
   FleetConfigBuilder& budget(ctrl::BudgetConfig b);
   FleetConfigBuilder& request_cost(std::uint64_t user_instructions);
   FleetConfigBuilder& requests(std::uint64_t measured, std::uint64_t warmup);
   FleetConfigBuilder& qos_p99_limit(Second bound);
 
-  /// Normalize (tenant table always populated), validate, and return the
-  /// config. Throws ModelError on an invalid config or on mixed
-  /// explicit-tenant / single-tenant traffic description.
+  /// Fill the tenant table, validate, and return the config. Throws
+  /// ModelError on an invalid config or on mixed explicit-tenant /
+  /// single-tenant traffic description.
   [[nodiscard]] FleetConfig build() const;
 
  private:
   FleetConfig cfg_;
+  /// The single-tenant setters' traffic (tenant 0 when no tenant() is given).
+  TenantSpec single_;
   bool single_tenant_touched_ = false;
-  bool explicit_tenants_ = false;
-  /// qos bound for the normalized single tenant (legacy FleetConfig
-  /// never carried one fleet-wide).
-  Second single_qos_{0.0};
 };
 
 /// One entry point for serial and parallel fleet execution:

@@ -24,10 +24,8 @@ double rate_for_load(double load, int servers, int cores_per_server,
 }
 
 FleetConfig Scenario::fleet_config(Hertz f) const {
-  // Built through FleetConfigBuilder, so the expansion always carries a
-  // normalized tenant table: single-tenant scenarios land in tenant 0
-  // exactly as the legacy resolved_tenants() path resolved them (the
-  // deprecated mirror fields stay consistent for legacy readers).
+  // Built through FleetConfigBuilder: a single-tenant scenario's traffic
+  // fields become tenant 0 of the expansion's tenant table.
   FleetConfigBuilder b;
   b.profile(workload::WorkloadProfile::for_name(workload))
       .frequency(f)
@@ -701,18 +699,6 @@ FleetResult run_scenario(const Scenario& scenario, Hertz f, const RunOptions& op
   return FleetRunner{scenario.fleet_config(f)}.run(options);
 }
 
-FleetResult run_scenario(const Scenario& scenario, Hertz f) {
-  // Serial grain by default: scenario runs usually ride inside a
-  // sweep-level fan-out (run_scenarios, dse::sweep_*) that already owns
-  // the cores. Callers wanting the parallel data plane pass RunOptions.
-  return run_scenario(scenario, f, RunOptions{.threads = 1});
-}
-
-FleetResult run_scenario(const Scenario& scenario, Hertz f, obs::Telemetry* telemetry) {
-  return run_scenario(scenario, f,
-                      RunOptions{.telemetry = telemetry, .threads = 1});
-}
-
 obs::TraceMeta trace_meta(const Scenario& scenario) {
   // Expand at the default frequency purely for the resolved shape: chip
   // count, cores per chip and the tenant table are frequency-independent.
@@ -721,12 +707,8 @@ obs::TraceMeta trace_meta(const Scenario& scenario) {
   meta.name = scenario.name;
   meta.chips = fc.servers;
   meta.cores_per_chip = fc.clusters_per_chip * fc.cluster.hierarchy.cores;
-  for (const auto& t : fc.resolved_tenants()) meta.tenants.push_back(t.name);
+  for (const auto& t : fc.tenants) meta.tenants.push_back(t.name);
   return meta;
-}
-
-std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios, Hertz f) {
-  return run_scenarios(scenarios, f, sim::ThreadPool::default_threads());
 }
 
 std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios, Hertz f,

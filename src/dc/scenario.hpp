@@ -15,6 +15,7 @@
 
 #include "dc/fleet.hpp"
 #include "dc/runner.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace ntserv::dc {
 
@@ -37,7 +38,7 @@ struct Scenario {
   ctrl::AdmissionConfig admission;
   ctrl::GovernorConfig governor;
   /// Co-located tenants (cross-scenario consolidation). Empty means
-  /// single-tenant from the legacy fields above. All tenants share the
+  /// single-tenant from the traffic fields above. All tenants share the
   /// chips' workload class (one binary per chip); they differ in
   /// arrivals, budgets, QoS bounds and steering class.
   std::vector<TenantSpec> tenants;
@@ -85,22 +86,14 @@ struct Scenario {
 [[nodiscard]] double rate_for_load(double load, int servers, int cores_per_server,
                                    std::uint64_t user_instructions_per_request);
 
-/// Run one scenario at frequency `f` under explicit dc::RunOptions
-/// (telemetry, worker threads) through dc::FleetRunner — the one entry
-/// point serial and parallel execution share. Results and telemetry are
-/// bit-identical for any options.threads.
+/// Run one scenario at frequency `f` through dc::FleetRunner — the one
+/// entry point serial and parallel execution share. The default options
+/// run serially with no telemetry: scenario runs usually ride inside a
+/// sweep-level fan-out (run_scenarios, dse::sweep_*) that already owns
+/// the cores. Results and telemetry are bit-identical for any
+/// options.threads; use one obs::Telemetry per run.
 [[nodiscard]] FleetResult run_scenario(const Scenario& scenario, Hertz f,
-                                       const RunOptions& options);
-
-/// Run one scenario serially with default options (deterministic).
-[[nodiscard]] FleetResult run_scenario(const Scenario& scenario, Hertz f);
-
-/// Run one scenario with observability attached (obs::Telemetry; null or
-/// all-disabled components cost nothing). The trace/metrics emitted are
-/// byte-identical for any NTSERV_THREADS — use one Telemetry per run.
-/// Convenience for run_scenario(scenario, f, RunOptions{.telemetry = t}).
-[[nodiscard]] FleetResult run_scenario(const Scenario& scenario, Hertz f,
-                                       obs::Telemetry* telemetry);
+                                       const RunOptions& options = {.threads = 1});
 
 /// Static exporter context (chip/core/tenant names) for writing a
 /// scenario's trace with obs::write_chrome_trace.
@@ -110,9 +103,8 @@ struct Scenario {
 /// workers (default NTSERV_THREADS). Each scenario is an independent
 /// seed-derived simulation, so results are bit-identical for any thread
 /// count.
-[[nodiscard]] std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios,
-                                                     Hertz f, int threads);
-[[nodiscard]] std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios,
-                                                     Hertz f);
+[[nodiscard]] std::vector<FleetResult> run_scenarios(
+    const std::vector<Scenario>& scenarios, Hertz f,
+    int threads = sim::ThreadPool::default_threads());
 
 }  // namespace ntserv::dc

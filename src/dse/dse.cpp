@@ -24,18 +24,35 @@ obs::PhaseTimers* phase_timers() { return g_phase_timers; }
 
 namespace {
 
-// Satellite of the availability work: a truncated run hit its cycle cap,
-// so every downstream metric (tails, energy, violation counts) is partial.
-// Sweeps used to fold such runs in silently; now each one is flagged on
-// stderr (after the parallel section, so the order is deterministic) and
-// the figure drivers mark the row.
-void warn_truncated(const char* sweep_kind, const std::string& scenario,
-                    const std::string& run, const dc::FleetResult& result) {
-  if (!result.truncated) return;
-  std::fprintf(stderr,
-               "[ntserv::dse] warning: %s sweep of '%s': run %s truncated at "
-               "its cycle cap — reported metrics are partial\n",
-               sweep_kind, scenario.c_str(), run.c_str());
+/// One fleet run of a sweep: a variant of the swept scenario at one
+/// frequency, and the label its truncation warning names it by.
+struct SweepRun {
+  std::string label;
+  dc::Scenario scenario;
+  Hertz frequency;
+};
+
+/// The fan-out every fleet sweep shares. Each run is an independent
+/// seed-derived fleet, so the results (in run order) are bit-identical for
+/// any thread count. A truncated run hit its cycle cap, so every
+/// downstream metric (tails, energy, violation counts) is partial: each
+/// one is flagged on stderr after the parallel section, in run order, and
+/// the figure drivers mark the row.
+std::vector<dc::FleetResult> run_sweep(const char* sweep_kind, const std::string& scenario,
+                                       const std::vector<SweepRun>& runs, int threads) {
+  std::vector<dc::FleetResult> results(runs.size());
+  sim::parallel_for_index(threads, runs.size(), [&](std::size_t i) {
+    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
+    results[i] = dc::run_scenario(runs[i].scenario, runs[i].frequency);
+  });
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (!results[i].truncated) continue;
+    std::fprintf(stderr,
+                 "[ntserv::dse] warning: %s sweep of '%s': run %s truncated at "
+                 "its cycle cap — reported metrics are partial\n",
+                 sweep_kind, scenario.c_str(), runs[i].label.c_str());
+  }
+  return results;
 }
 
 }  // namespace
@@ -88,23 +105,8 @@ double SweepResult::baseline_uips() const {
 }
 
 SweepResult ExplorationDriver::sweep(const workload::WorkloadProfile& profile,
-                                     const std::vector<Hertz>& grid) const {
-  return sweep(profile, grid, sim::ThreadPool::default_threads());
-}
-
-SweepResult ExplorationDriver::sweep(const workload::WorkloadProfile& profile,
                                      const std::vector<Hertz>& grid, int threads) const {
-  sim::ServerSimulator simulator{profile, platform_, config_};
-  SweepResult r;
-  r.workload = profile.name;
-  r.points = simulator.sweep(grid, threads);
-  return r;
-}
-
-std::vector<SweepResult> ExplorationDriver::sweep_all(
-    const std::vector<workload::WorkloadProfile>& profiles,
-    const std::vector<Hertz>& grid) const {
-  return sweep_all(profiles, grid, sim::ThreadPool::default_threads());
+  return sweep_all({profile}, grid, threads).front();
 }
 
 std::vector<SweepResult> ExplorationDriver::sweep_all(
@@ -140,29 +142,22 @@ Second MeasuredQosSweep::baseline_p99() const {
 
 MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
                                     const qos::QosTarget& target,
-                                    const std::vector<Hertz>& grid) {
-  return sweep_measured_qos(scenario, target, grid, sim::ThreadPool::default_threads());
-}
-
-MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
-                                    const qos::QosTarget& target,
                                     const std::vector<Hertz>& grid, int threads) {
   NTSERV_EXPECTS(!grid.empty(), "measured sweep needs at least one grid point");
   MeasuredQosSweep sweep;
   sweep.scenario = scenario.name;
   sweep.workload = scenario.workload;
 
-  std::vector<dc::FleetResult> fleet(grid.size());
-  sim::parallel_for_index(threads, grid.size(), [&](std::size_t i) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    fleet[i] = dc::run_scenario(scenario, grid[i]);
-  });
+  std::vector<SweepRun> runs;
+  for (const Hertz f : grid) {
+    char label[64];
+    std::snprintf(label, sizeof label, "f=%.0f MHz", f.value() / 1e6);
+    runs.push_back({label, scenario, f});
+  }
+  const auto fleet = run_sweep("measured-QoS", sweep.scenario, runs, threads);
 
   sweep.points.resize(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    char run[64];
-    std::snprintf(run, sizeof run, "f=%.0f MHz", grid[i].value() / 1e6);
-    warn_truncated("measured-QoS", sweep.scenario, run, fleet[i]);
     MeasuredQosPoint& p = sweep.points[i];
     p.frequency = grid[i];
     p.p50 = fleet[i].p50;
@@ -194,27 +189,21 @@ const GovernorPoint& GovernorSweep::at(ctrl::GovernorKind kind) const {
 }
 
 GovernorSweep sweep_governors(const dc::Scenario& scenario,
-                              const std::vector<ctrl::GovernorKind>& kinds, Hertz f) {
-  return sweep_governors(scenario, kinds, f, sim::ThreadPool::default_threads());
-}
-
-GovernorSweep sweep_governors(const dc::Scenario& scenario,
                               const std::vector<ctrl::GovernorKind>& kinds, Hertz f,
                               int threads) {
   NTSERV_EXPECTS(!kinds.empty(), "governor sweep needs at least one kind");
   GovernorSweep sweep;
   sweep.scenario = scenario.name;
   sweep.workload = scenario.workload;
-  sweep.points.resize(kinds.size());
-  sim::parallel_for_index(threads, kinds.size(), [&](std::size_t i) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
+  std::vector<SweepRun> runs;
+  for (const auto kind : kinds) {
     dc::Scenario s = scenario;
-    s.governor.kind = kinds[i];
-    sweep.points[i].governor = kinds[i];
-    sweep.points[i].result = dc::run_scenario(s, f);
-  });
-  for (const auto& p : sweep.points) {
-    warn_truncated("governor", sweep.scenario, to_string(p.governor), p.result);
+    s.governor.kind = kind;
+    runs.push_back({to_string(kind), std::move(s), f});
+  }
+  auto results = run_sweep("governor", sweep.scenario, runs, threads);
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    sweep.points.push_back({kinds[i], std::move(results[i])});
   }
   return sweep;
 }
@@ -303,12 +292,6 @@ int ConsolidationSweep::min_dedicated_chips(std::size_t t) const {
 }
 
 ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
-                                       const std::vector<int>& chip_counts, Hertz f) {
-  return sweep_consolidation(scenario, chip_counts, f,
-                             sim::ThreadPool::default_threads());
-}
-
-ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
                                        const std::vector<int>& chip_counts, Hertz f,
                                        int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "consolidation sweep needs chip counts");
@@ -321,39 +304,30 @@ ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
     sweep.tenant_bounds.push_back(t.qos_p99_limit);
   }
 
+  // Per chip count: the consolidated fleet, then each dedicated split.
   const std::size_t tenants = scenario.tenants.size();
-  const std::size_t per_count = 1 + tenants;  // consolidated + each dedicated split
-  sweep.points.resize(chip_counts.size());
-  for (std::size_t i = 0; i < chip_counts.size(); ++i) {
-    NTSERV_EXPECTS(chip_counts[i] > 0, "chip counts must be positive");
-    sweep.points[i].chips = chip_counts[i];
-    sweep.points[i].dedicated.resize(tenants);
+  const auto sized = [](dc::Scenario s, int chips) {
+    s.servers = chips;
+    return s;
+  };
+  std::vector<SweepRun> runs;
+  for (const int chips : chip_counts) {
+    NTSERV_EXPECTS(chips > 0, "chip counts must be positive");
+    const std::string at = " @" + std::to_string(chips) + " chips";
+    runs.push_back({"consolidated" + at, sized(scenario, chips), f});
+    for (std::size_t t = 0; t < tenants; ++t) {
+      runs.push_back({"dedicated '" + sweep.tenant_names[t] + "'" + at,
+                      sized(scenario.dedicated(t), chips), f});
+    }
   }
+  auto results = run_sweep("consolidation", sweep.scenario, runs, threads);
 
-  // Flatten every (chip count, consolidated-or-split) run into one task
-  // index space; each task is an independent seed-derived fleet.
-  sim::parallel_for_index(threads, chip_counts.size() * per_count, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    const std::size_t i = task / per_count;
-    const std::size_t j = task % per_count;
-    dc::Scenario s = j == 0 ? scenario : scenario.dedicated(j - 1);
-    s.servers = chip_counts[i];
-    if (j == 0) {
-      sweep.points[i].consolidated = dc::run_scenario(s, f);
-    } else {
-      sweep.points[i].dedicated[j - 1] = dc::run_scenario(s, f);
-    }
-  });
-  for (const auto& p : sweep.points) {
-    warn_truncated("consolidation", sweep.scenario,
-                   "consolidated @" + std::to_string(p.chips) + " chips",
-                   p.consolidated);
-    for (std::size_t t = 0; t < p.dedicated.size(); ++t) {
-      warn_truncated("consolidation", sweep.scenario,
-                     "dedicated '" + sweep.tenant_names[t] + "' @" +
-                         std::to_string(p.chips) + " chips",
-                     p.dedicated[t]);
-    }
+  auto next = results.begin();
+  for (const int chips : chip_counts) {
+    ConsolidationPoint& p = sweep.points.emplace_back();
+    p.chips = chips;
+    p.consolidated = std::move(*next++);
+    for (std::size_t t = 0; t < tenants; ++t) p.dedicated.push_back(std::move(*next++));
   }
   return sweep;
 }
@@ -384,14 +358,6 @@ const dc::FleetResult& ProvisioningSweep::at(int chips, std::size_t a) const {
 ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
                                      const std::vector<int>& chip_counts,
                                      const std::vector<ProvisioningArm>& arms,
-                                     Second p99_bound, Hertz f) {
-  return sweep_provisioning(scenario, chip_counts, arms, p99_bound, f,
-                            sim::ThreadPool::default_threads());
-}
-
-ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
-                                     const std::vector<int>& chip_counts,
-                                     const std::vector<ProvisioningArm>& arms,
                                      Second p99_bound, Hertz f, int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "provisioning sweep needs chip counts");
   NTSERV_EXPECTS(!arms.empty(), "provisioning sweep needs at least one arm");
@@ -404,34 +370,28 @@ ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
   sweep.p99_bound = p99_bound;
   for (const auto& arm : arms) sweep.arm_labels.push_back(arm.label);
 
-  sweep.points.resize(chip_counts.size());
-  for (std::size_t i = 0; i < chip_counts.size(); ++i) {
-    NTSERV_EXPECTS(chip_counts[i] > 0, "chip counts must be positive");
-    sweep.points[i].chips = chip_counts[i];
-    sweep.points[i].results.resize(arms.size());
+  std::vector<SweepRun> runs;
+  for (const int chips : chip_counts) {
+    NTSERV_EXPECTS(chips > 0, "chip counts must be positive");
+    for (const auto& arm : arms) {
+      dc::Scenario s = scenario;
+      s.servers = chips;
+      s.orchestration = arm.orchestration;
+      if (s.orchestration.autoscaler.enabled) {
+        s.orchestration.autoscaler.min_active =
+            std::min(s.orchestration.autoscaler.min_active, chips);
+      }
+      runs.push_back({"arm '" + arm.label + "' @" + std::to_string(chips) + " chips",
+                      std::move(s), f});
+    }
   }
+  auto results = run_sweep("provisioning", sweep.scenario, runs, threads);
 
-  // Flatten every (chip count, arm) run into one task index space; each
-  // task is an independent seed-derived fleet.
-  sim::parallel_for_index(threads, chip_counts.size() * arms.size(), [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    const std::size_t i = task / arms.size();
-    const std::size_t a = task % arms.size();
-    dc::Scenario s = scenario;
-    s.servers = chip_counts[i];
-    s.orchestration = arms[a].orchestration;
-    if (s.orchestration.autoscaler.enabled) {
-      s.orchestration.autoscaler.min_active =
-          std::min(s.orchestration.autoscaler.min_active, chip_counts[i]);
-    }
-    sweep.points[i].results[a] = dc::run_scenario(s, f);
-  });
-  for (const auto& p : sweep.points) {
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      warn_truncated("provisioning", sweep.scenario,
-                     "arm '" + arms[a].label + "' @" + std::to_string(p.chips) + " chips",
-                     p.results[a]);
-    }
+  auto next = results.begin();
+  for (const int chips : chip_counts) {
+    ProvisioningPoint& p = sweep.points.emplace_back();
+    p.chips = chips;
+    for (std::size_t a = 0; a < arms.size(); ++a) p.results.push_back(std::move(*next++));
   }
   return sweep;
 }
@@ -454,42 +414,48 @@ const FaultPoint& FaultSweep::at(const std::string& label) const {
   throw ModelError("fault sweep has no arm labelled '" + label + "'");
 }
 
-FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<ResilienceArm>& arms, Hertz f) {
-  return sweep_faults(scenario, arms, f, sim::ThreadPool::default_threads());
-}
+namespace {
 
-FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<ResilienceArm>& arms, Hertz f,
-                        int threads) {
-  NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one resilience arm");
+/// Both fault sweeps: the healthy reference (faults stripped, first arm's
+/// posture) and then each arm on the shared fault trace. `apply_arm`
+/// writes one arm's posture into a scenario copy.
+template <typename Arm, typename ApplyArm>
+FaultSweep fault_sweep(const char* sweep_kind, const dc::Scenario& scenario,
+                       const std::vector<Arm>& arms, Hertz f, int threads,
+                       ApplyArm apply_arm) {
+  NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one arm");
   NTSERV_EXPECTS(scenario.faults.any(),
                  "fault sweep needs a scenario with a fault schedule");
+  std::vector<SweepRun> runs;
+  dc::Scenario healthy = scenario;
+  healthy.faults = fault::FaultConfig{};
+  apply_arm(healthy, arms.front());
+  runs.push_back({"healthy reference", std::move(healthy), f});
+  for (const Arm& arm : arms) {
+    dc::Scenario s = scenario;
+    apply_arm(s, arm);
+    runs.push_back({"arm '" + arm.label + "'", std::move(s), f});
+  }
+  auto results = run_sweep(sweep_kind, scenario.name, runs, threads);
+
   FaultSweep sweep;
   sweep.scenario = scenario.name;
   sweep.workload = scenario.workload;
-  sweep.points.resize(arms.size());
-
-  // Task 0 is the healthy reference (faults stripped, first arm's
-  // resilience); tasks 1..N are the arms on the shared fault trace.
-  sim::parallel_for_index(threads, arms.size() + 1, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    dc::Scenario s = scenario;
-    if (task == 0) {
-      s.faults = fault::FaultConfig{};
-      s.resilience = arms.front().resilience;
-      sweep.healthy = dc::run_scenario(s, f);
-    } else {
-      s.resilience = arms[task - 1].resilience;
-      sweep.points[task - 1].label = arms[task - 1].label;
-      sweep.points[task - 1].result = dc::run_scenario(s, f);
-    }
-  });
-  warn_truncated("fault", sweep.scenario, "healthy reference", sweep.healthy);
-  for (const auto& p : sweep.points) {
-    warn_truncated("fault", sweep.scenario, "arm '" + p.label + "'", p.result);
+  sweep.healthy = std::move(results.front());
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    sweep.points.push_back({arms[i].label, std::move(results[i + 1])});
   }
   return sweep;
+}
+
+}  // namespace
+
+FaultSweep sweep_faults(const dc::Scenario& scenario,
+                        const std::vector<ResilienceArm>& arms, Hertz f, int threads) {
+  return fault_sweep("fault", scenario, arms, f, threads,
+                     [](dc::Scenario& s, const ResilienceArm& arm) {
+                       s.resilience = arm.resilience;
+                     });
 }
 
 std::vector<BrownoutArm> default_brownout_arms() {
@@ -509,48 +475,14 @@ std::vector<BrownoutArm> default_brownout_arms() {
 }
 
 FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<BrownoutArm>& arms, Hertz f) {
-  return sweep_faults(scenario, arms, f, sim::ThreadPool::default_threads());
-}
-
-FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<BrownoutArm>& arms, Hertz f,
-                        int threads) {
-  NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one brownout arm");
-  NTSERV_EXPECTS(scenario.faults.any(),
-                 "fault sweep needs a scenario with a fault schedule");
-  FaultSweep sweep;
-  sweep.scenario = scenario.name;
-  sweep.workload = scenario.workload;
-  sweep.points.resize(arms.size());
-
-  const auto apply_arm = [](dc::Scenario& s, const BrownoutArm& arm) {
-    s.brownout.enabled = arm.brownout;
-    if (arm.brownout) s.brownout.max_stage = arm.max_stage;
-    s.breaker.enabled = arm.breaker;
-    s.orchestration.autoscaler.emergency_wake = arm.emergency_wake;
-  };
-
-  // Task 0 is the healthy reference (faults stripped, first arm's
-  // posture); tasks 1..N are the arms on the shared fault trace.
-  sim::parallel_for_index(threads, arms.size() + 1, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    dc::Scenario s = scenario;
-    if (task == 0) {
-      s.faults = fault::FaultConfig{};
-      apply_arm(s, arms.front());
-      sweep.healthy = dc::run_scenario(s, f);
-    } else {
-      apply_arm(s, arms[task - 1]);
-      sweep.points[task - 1].label = arms[task - 1].label;
-      sweep.points[task - 1].result = dc::run_scenario(s, f);
-    }
-  });
-  warn_truncated("brownout", sweep.scenario, "healthy reference", sweep.healthy);
-  for (const auto& p : sweep.points) {
-    warn_truncated("brownout", sweep.scenario, "arm '" + p.label + "'", p.result);
-  }
-  return sweep;
+                        const std::vector<BrownoutArm>& arms, Hertz f, int threads) {
+  return fault_sweep("brownout", scenario, arms, f, threads,
+                     [](dc::Scenario& s, const BrownoutArm& arm) {
+                       s.brownout.enabled = arm.brownout;
+                       if (arm.brownout) s.brownout.max_stage = arm.max_stage;
+                       s.breaker.enabled = arm.breaker;
+                       s.orchestration.autoscaler.emergency_wake = arm.emergency_wake;
+                     });
 }
 
 double consolidation_headroom(const SweepResult& sweep, const qos::QosTarget& target) {

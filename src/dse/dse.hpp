@@ -18,11 +18,12 @@
 #include "dc/scenario.hpp"
 #include "qos/qos.hpp"
 #include "sim/server_sim.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace ntserv::dse {
 
 /// Attach wall-clock self-profiling to the sweep drivers (null detaches).
-/// Every fleet-simulation sweep point then adds one "sweep-point" sample;
+/// Every sweep point, analytic or fleet, then adds one "sweep-point" sample;
 /// obs::PhaseTimers is mutex-guarded, so pool workers report safely. Wall
 /// time never enters sweep results — this is turnaround diagnostics only.
 void set_phase_timers(obs::PhaseTimers* timers);
@@ -58,22 +59,18 @@ class ExplorationDriver {
       : platform_(std::move(platform)), config_(config) {}
 
   /// Sweep one workload, fanning the grid points out over `threads`
-  /// workers (default NTSERV_THREADS). Results are thread-count
-  /// invariant (see ServerSimulator::sweep).
+  /// workers (default NTSERV_THREADS): sweep_all of one profile. Results
+  /// are thread-count invariant (see ServerSimulator::sweep).
   [[nodiscard]] SweepResult sweep(const workload::WorkloadProfile& profile,
-                                  const std::vector<Hertz>& grid) const;
-  [[nodiscard]] SweepResult sweep(const workload::WorkloadProfile& profile,
-                                  const std::vector<Hertz>& grid, int threads) const;
+                                  const std::vector<Hertz>& grid,
+                                  int threads = sim::ThreadPool::default_threads()) const;
 
   /// Sweep many workloads over a shared grid, flattening every
   /// (workload, frequency) pair into one task pool so the figure drivers
   /// saturate the machine even with short grids.
   [[nodiscard]] std::vector<SweepResult> sweep_all(
-      const std::vector<workload::WorkloadProfile>& profiles,
-      const std::vector<Hertz>& grid, int threads) const;
-  [[nodiscard]] std::vector<SweepResult> sweep_all(
-      const std::vector<workload::WorkloadProfile>& profiles,
-      const std::vector<Hertz>& grid) const;
+      const std::vector<workload::WorkloadProfile>& profiles, const std::vector<Hertz>& grid,
+      int threads = sim::ThreadPool::default_threads()) const;
 
   [[nodiscard]] const power::ServerPowerModel& platform() const { return platform_; }
   [[nodiscard]] const sim::ServerSimConfig& config() const { return config_; }
@@ -133,13 +130,9 @@ struct MeasuredQosSweep {
 /// `threads` workers (default NTSERV_THREADS). Each point runs its fleet
 /// with the scenario's own seed, so results are bit-identical for any
 /// thread count.
-[[nodiscard]] MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
-                                                  const qos::QosTarget& target,
-                                                  const std::vector<Hertz>& grid,
-                                                  int threads);
-[[nodiscard]] MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
-                                                  const qos::QosTarget& target,
-                                                  const std::vector<Hertz>& grid);
+[[nodiscard]] MeasuredQosSweep sweep_measured_qos(
+    const dc::Scenario& scenario, const qos::QosTarget& target, const std::vector<Hertz>& grid,
+    int threads = sim::ThreadPool::default_threads());
 
 // ---- Closed-loop governor sweeps (src/ctrl) ----
 
@@ -167,10 +160,8 @@ struct GovernorSweep {
 /// epoch sizing) is kept; only the kind is overridden per point.
 [[nodiscard]] GovernorSweep sweep_governors(const dc::Scenario& scenario,
                                             const std::vector<ctrl::GovernorKind>& kinds,
-                                            Hertz f, int threads);
-[[nodiscard]] GovernorSweep sweep_governors(const dc::Scenario& scenario,
-                                            const std::vector<ctrl::GovernorKind>& kinds,
-                                            Hertz f);
+                                            Hertz f,
+                                            int threads = sim::ThreadPool::default_threads());
 
 // ---- Fault-tolerance sweeps (src/fault + dc resilience) ----
 
@@ -222,11 +213,8 @@ struct FaultSweep {
 /// bit-identical across arms and for any thread count, so differences
 /// between arms are purely the resilience machinery.
 [[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
-                                      const std::vector<ResilienceArm>& arms,
-                                      Hertz f, int threads);
-[[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
-                                      const std::vector<ResilienceArm>& arms,
-                                      Hertz f);
+                                      const std::vector<ResilienceArm>& arms, Hertz f,
+                                      int threads = sim::ThreadPool::default_threads());
 
 /// One graceful-degradation posture to run a faulted scenario under. The
 /// scenario's fault schedule, traffic and resilience are kept; only the
@@ -250,14 +238,11 @@ struct BrownoutArm {
 
 /// Run one faulted scenario under each brownout arm (plus the healthy
 /// reference, first arm's posture). Same determinism contract as the
-/// resilience-arm overload: the arrival stream and the fault trace are
+/// resilience-arm sweep: the arrival stream and the fault trace are
 /// shared across arms and bit-identical for any thread count.
 [[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
-                                      const std::vector<BrownoutArm>& arms,
-                                      Hertz f, int threads);
-[[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
-                                      const std::vector<BrownoutArm>& arms,
-                                      Hertz f);
+                                      const std::vector<BrownoutArm>& arms, Hertz f,
+                                      int threads = sim::ThreadPool::default_threads());
 
 /// Consolidation headroom (Sec. V-C): with QoS met at `qos_floor` but the
 /// efficiency optimum at `f_opt` > floor, the spare throughput factor
@@ -305,12 +290,9 @@ struct ConsolidationSweep {
 /// fanning all of the runs out over `threads` workers (default
 /// NTSERV_THREADS). Each run is an independent seed-derived simulation,
 /// so results are bit-identical for any thread count.
-[[nodiscard]] ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
-                                                     const std::vector<int>& chip_counts,
-                                                     Hertz f, int threads);
-[[nodiscard]] ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
-                                                     const std::vector<int>& chip_counts,
-                                                     Hertz f);
+[[nodiscard]] ConsolidationSweep sweep_consolidation(
+    const dc::Scenario& scenario, const std::vector<int>& chip_counts, Hertz f,
+    int threads = sim::ThreadPool::default_threads());
 
 // ---- Provisioning sweeps (src/orch fleet orchestration) ----
 
@@ -357,13 +339,9 @@ struct ProvisioningSweep {
 /// (default NTSERV_THREADS). Each run is an independent seed-derived
 /// fleet, so results are bit-identical for any thread count. An
 /// autoscaler arm's min_active is clamped to the swept chip count.
-[[nodiscard]] ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
-                                                   const std::vector<int>& chip_counts,
-                                                   const std::vector<ProvisioningArm>& arms,
-                                                   Second p99_bound, Hertz f, int threads);
-[[nodiscard]] ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
-                                                   const std::vector<int>& chip_counts,
-                                                   const std::vector<ProvisioningArm>& arms,
-                                                   Second p99_bound, Hertz f);
+[[nodiscard]] ProvisioningSweep sweep_provisioning(
+    const dc::Scenario& scenario, const std::vector<int>& chip_counts,
+    const std::vector<ProvisioningArm>& arms, Second p99_bound, Hertz f,
+    int threads = sim::ThreadPool::default_threads());
 
 }  // namespace ntserv::dse

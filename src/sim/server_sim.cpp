@@ -85,11 +85,6 @@ OperatingPointResult ServerSimulator::evaluate(Hertz f) const {
   return r;
 }
 
-std::vector<OperatingPointResult> ServerSimulator::sweep(
-    const std::vector<Hertz>& points) const {
-  return sweep(points, ThreadPool::default_threads());
-}
-
 std::vector<OperatingPointResult> ServerSimulator::sweep(const std::vector<Hertz>& points,
                                                          int threads) const {
   std::vector<OperatingPointResult> out(points.size());

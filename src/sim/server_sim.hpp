@@ -12,6 +12,7 @@
 #include "power/server_power.hpp"
 #include "sim/cluster.hpp"
 #include "sim/sampling.hpp"
+#include "sim/thread_pool.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ntserv::sim {
@@ -60,9 +61,8 @@ class ServerSimulator {
   /// point is an independent simulation with a seed derived purely from
   /// (config seed, frequency), so results are bit-identical for any
   /// thread count, including the serial path.
-  [[nodiscard]] std::vector<OperatingPointResult> sweep(const std::vector<Hertz>& points,
-                                                        int threads) const;
-  [[nodiscard]] std::vector<OperatingPointResult> sweep(const std::vector<Hertz>& points) const;
+  [[nodiscard]] std::vector<OperatingPointResult> sweep(
+      const std::vector<Hertz>& points, int threads = ThreadPool::default_threads()) const;
 
   /// Convert a measured cluster window into the chip activity vector.
   [[nodiscard]] power::ActivityVector activity_from(const ClusterMetrics& m, Hertz f) const;

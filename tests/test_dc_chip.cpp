@@ -73,7 +73,7 @@ TEST(Chip, MultiClusterChipUsesAllItsClusters) {
   ClusterFleet fleet{cfg};
   EXPECT_EQ(fleet.cores_per_server(), 2 * cfg.cluster.hierarchy.cores);
   const FleetResult r = fleet.run();
-  EXPECT_EQ(r.completed, cfg.requests);
+  EXPECT_EQ(r.completed, cfg.tenants[0].requests);
   EXPECT_FALSE(r.truncated);
   ASSERT_EQ(r.server_active_fraction.size(), 1u);
   EXPECT_GT(r.server_active_fraction[0], 0.0);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dc/fleet.hpp"
 #include "dc/runner.hpp"
 #include "workload/profile.hpp"
@@ -7,23 +9,28 @@
 namespace ntserv::dc {
 namespace {
 
-/// Small, fast fleet builder shared by the behavioural tests: two chips,
-/// light Poisson traffic. Tests override traffic through the builder
-/// (the config's tenant table is normalized at build(), so post-build
-/// mutation of the deprecated legacy fields would be ignored).
-FleetConfigBuilder small_builder() {
-  ArrivalConfig arrival;
-  arrival.kind = ArrivalKind::kPoisson;
-  arrival.rate = 20'000.0;
+/// The small fleet's shape without its traffic: two chips, light warm.
+FleetConfigBuilder untrafficked_builder() {
   return FleetConfigBuilder{}
       .profile(workload::WorkloadProfile::web_search())
       .frequency(ghz(2.0))
       .shape(/*servers=*/2)
-      .request_cost(3'000)
-      .arrival(arrival)
-      .requests(80, 10)
       .warm(60'000)
       .seed(3);
+}
+
+ArrivalConfig light_poisson() {
+  ArrivalConfig arrival;
+  arrival.kind = ArrivalKind::kPoisson;
+  arrival.rate = 20'000.0;
+  return arrival;
+}
+
+/// Small, fast fleet builder shared by the behavioural tests: two chips,
+/// light Poisson traffic. Tests override traffic through the builder's
+/// single-tenant setters.
+FleetConfigBuilder small_builder() {
+  return untrafficked_builder().request_cost(3'000).arrival(light_poisson()).requests(80, 10);
 }
 
 FleetConfig small_config() { return small_builder().build(); }
@@ -46,42 +53,29 @@ TEST(Fleet, CompletesEveryMeasuredRequest) {
   EXPECT_GT(r.offered_rate, 0.0);
 }
 
-TEST(Fleet, BuilderNormalizesIntoTheTenantTable) {
+TEST(Fleet, BuilderFillsTheTenantTable) {
   const FleetConfig cfg = small_config();
-  // build() populated tenant 0 from the single-tenant setters and keeps
-  // the deprecated legacy fields as a consistent mirror.
+  // build() made tenant 0 from the single-tenant setters.
   ASSERT_EQ(cfg.tenants.size(), 1u);
   EXPECT_EQ(cfg.tenants[0].requests, 80u);
   EXPECT_EQ(cfg.tenants[0].warmup_requests, 10u);
   EXPECT_EQ(cfg.tenants[0].user_instructions_per_request, 3'000u);
   EXPECT_EQ(cfg.tenants[0].arrival.kind, ArrivalKind::kPoisson);
-  EXPECT_EQ(cfg.requests, cfg.tenants[0].requests);
-  EXPECT_EQ(cfg.user_instructions_per_request,
-            cfg.tenants[0].user_instructions_per_request);
 }
 
-TEST(Fleet, BuilderReproducesLegacyFieldConfigsBitForBit) {
-  // The deprecated construction path: legacy single-tenant fields set
-  // directly, resolved by resolved_tenants() inside the engine. The
-  // builder must normalize to the exact same run.
-  FleetConfig legacy;
-  legacy.profile = workload::WorkloadProfile::web_search();
-  legacy.frequency = ghz(2.0);
-  legacy.servers = 2;
-  legacy.user_instructions_per_request = 3'000;
-  legacy.arrival.kind = ArrivalKind::kPoisson;
-  legacy.arrival.rate = 20'000.0;
-  legacy.requests = 80;
-  legacy.warmup_requests = 10;
-  legacy.warm_instructions = 60'000;
-  legacy.seed = 3;
-  const FleetResult a = ClusterFleet{legacy}.run();
-  const FleetResult b = FleetRunner{small_config()}.run();
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.span_cycles, b.span_cycles);
-  EXPECT_EQ(a.p99.value(), b.p99.value());
-  EXPECT_EQ(a.mean_latency.value(), b.mean_latency.value());
+TEST(Fleet, SingleTenantSettersMatchAnExplicitTenant) {
+  // The single-tenant setters are shorthand for one default-named tenant:
+  // both descriptions must run the same fleet, bit for bit.
+  TenantSpec t;
+  t.user_instructions_per_request = 3'000;
+  t.arrival = light_poisson();
+  t.requests = 80;
+  t.warmup_requests = 10;
+  const FleetResult explicit_tenant =
+      FleetRunner{untrafficked_builder().tenant(t).build()}.run();
+  const FleetResult setters = FleetRunner{small_config()}.run();
+  EXPECT_GT(setters.completed, 0u);
+  EXPECT_TRUE(setters == explicit_tenant);
 }
 
 TEST(Fleet, BuilderRejectsMixedTrafficDescriptions) {
@@ -189,6 +183,14 @@ TEST(Fleet, ValidationRejectsBadConfigs) {
   auto cfg = small_config();
   cfg.servers = 0;
   EXPECT_THROW(cfg.validate(), ModelError);
+  auto no_traffic = small_config();
+  no_traffic.tenants.clear();
+  try {
+    no_traffic.validate();
+    ADD_FAILURE() << "an empty tenant table validated";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("tenants"), std::string::npos) << e.what();
+  }
   EXPECT_THROW((void)small_builder().requests(0, 10).build(), ModelError);
   EXPECT_THROW((void)small_builder().request_cost(0).build(), ModelError);
 }

@@ -16,8 +16,7 @@ ArrivalConfig poisson(double rate) {
 }
 
 /// Small, fast two-chip fleet shared by the behavioural tests. Traffic
-/// overrides go through the builder (post-build mutation of the
-/// deprecated legacy traffic fields would be ignored); fault and
+/// overrides go through the builder's single-tenant setters; fault and
 /// resilience knobs may still be set on the built config.
 FleetConfigBuilder small_builder() {
   return FleetConfigBuilder{}
@@ -220,10 +219,9 @@ TEST(Resilience, FaultedRunsAreDeterministicAcrossThreadCounts) {
 // the fleet level and per tenant for *any* combination of load, policy,
 // admission, faults and resilience — the conservation law of the serving
 // layer. The generator is seeded, so the "random" sample is stable.
-// This test deliberately assembles raw FleetConfig values (deprecated
-// legacy traffic fields, sometimes overlaid with a direct tenant table):
-// it is the remaining coverage for the legacy resolution path that
-// FleetConfigBuilder replaces everywhere else.
+// This test deliberately assembles raw FleetConfig values, writing the
+// tenant table directly (one tenant, or the load split across two)
+// rather than through FleetConfigBuilder.
 TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
   Xoshiro256StarStar rng{derive_seed(0xACC7, 0)};
   for (int trial = 0; trial < 14; ++trial) {
@@ -231,11 +229,12 @@ TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
     cfg.profile = workload::WorkloadProfile::web_search();
     cfg.frequency = ghz(2.0);
     cfg.servers = 1 + static_cast<int>(rng() % 3);
-    cfg.user_instructions_per_request = 3'000;
-    cfg.arrival.kind = ArrivalKind::kPoisson;
-    cfg.arrival.rate = 8'000.0 + 5'000.0 * static_cast<double>(rng() % 8);
-    cfg.requests = 60 + rng() % 60;
-    cfg.warmup_requests = 8;
+    TenantSpec single;
+    single.user_instructions_per_request = 3'000;
+    single.arrival.kind = ArrivalKind::kPoisson;
+    single.arrival.rate = 8'000.0 + 5'000.0 * static_cast<double>(rng() % 8);
+    single.requests = 60 + rng() % 60;
+    single.warmup_requests = 8;
     cfg.warm_instructions = 60'000;
     cfg.seed = rng();
     cfg.policy = rng() % 2 == 0 ? BalancePolicy::kLeastLoaded
@@ -321,17 +320,19 @@ TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
     if (rng() % 2 == 0) {
       TenantSpec a, b;
       a.name = "a";
-      a.arrival = cfg.arrival;
+      a.arrival = single.arrival;
       a.user_instructions_per_request = 3'000;
-      a.requests = cfg.requests / 2;
+      a.requests = single.requests / 2;
       a.warmup_requests = 4;
       b.name = "b";
-      b.arrival = cfg.arrival;
+      b.arrival = single.arrival;
       b.arrival.rate *= 0.5;
       b.user_instructions_per_request = 3'000;
-      b.requests = cfg.requests / 2;
+      b.requests = single.requests / 2;
       b.warmup_requests = 4;
       cfg.tenants = {a, b};
+    } else {
+      cfg.tenants = {single};
     }
     cfg.max_cycles = 80'000'000;  // unrecovered crashes truncate quickly
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "../bench/bench_common.hpp"
 #include "dse/dse.hpp"
 
@@ -146,21 +150,128 @@ TEST(Dse, GovernorSweepSurfacesTruncatedRuns) {
 
 TEST(Dse, ProvisioningSweepTreatsTruncatedRunsAsNotMeeting) {
   const dc::Scenario s = truncating_scenario();
-  std::vector<ProvisioningArm> arms(1);
+  std::vector<ProvisioningArm> arms(2);
   arms[0].label = "fixed";
+  arms[1].label = "also-fixed";
   testing::internal::CaptureStderr();
   const ProvisioningSweep sweep =
-      sweep_provisioning(s, {2, 3}, arms, microseconds(200.0), ghz(2.0), 1);
+      sweep_provisioning(s, {2, 3}, arms, microseconds(200.0), ghz(2.0), 4);
   const std::string err = testing::internal::GetCapturedStderr();
 
   ASSERT_EQ(sweep.points.size(), 2u);
   for (const auto& p : sweep.points) {
-    ASSERT_EQ(p.results.size(), 1u);
-    EXPECT_TRUE(p.results[0].truncated);
-    EXPECT_FALSE(sweep.meets(p.results[0]));  // a partial run never "meets"
+    ASSERT_EQ(p.results.size(), 2u);
+    for (const auto& r : p.results) {
+      EXPECT_TRUE(r.truncated);
+      EXPECT_FALSE(sweep.meets(r));  // a partial run never "meets"
+    }
   }
   EXPECT_EQ(sweep.min_chips(0), -1);
-  EXPECT_NE(err.find("truncated"), std::string::npos);
+  // One warning per run, in run order (chip count, then arm) whatever
+  // order the workers finished in.
+  std::string expected;
+  for (const char* run : {"arm 'fixed' @2 chips", "arm 'also-fixed' @2 chips",
+                          "arm 'fixed' @3 chips", "arm 'also-fixed' @3 chips"}) {
+    expected += "[ntserv::dse] warning: provisioning sweep of 'powercap-web': run " +
+                std::string(run) +
+                " truncated at its cycle cap — reported metrics are partial\n";
+  }
+  EXPECT_EQ(err, expected);
+}
+
+/// diurnal-chipfail shrunk for turnaround: two chips, a short busy run,
+/// and chip 1's crash and recovery moved inside it.
+dc::Scenario small_chipfail() {
+  dc::Scenario s = dc::Scenario::by_name("diurnal-chipfail");
+  s.warm_instructions = 60'000;
+  s.servers = 2;
+  s.tenants[0].arrival.rate *= 2.0;
+  s.tenants[0].requests = 30;
+  s.tenants[0].warmup_requests = 4;
+  s.faults.events = {{0.03e-3, 1, fault::FaultKind::kCrash},
+                     {0.06e-3, 1, fault::FaultKind::kRecover}};
+  return s;
+}
+
+/// rack-loss-web shrunk the same way: two one-chip racks, rack0 lost
+/// early in a short overloaded run.
+dc::Scenario small_rack_loss() {
+  dc::Scenario s = dc::Scenario::by_name("rack-loss-web");
+  s.warm_instructions = 60'000;
+  s.servers = 2;
+  s.orchestration.autoscaler.min_active = 1;
+  s.faults.domains = {{"rack0", {0}}, {"rack1", {1}}};
+  s.faults.events[0].at_s = 0.04e-3;
+  s.faults.events[0].duration_s = 0.04e-3;
+  s.tenants[0].arrival.rate *= 1.5;
+  s.tenants[0].requests = 40;
+  s.tenants[0].warmup_requests = 4;
+  s.tenants[1].arrival.rate *= 2.0;
+  s.tenants[1].requests = 10;
+  s.tenants[1].warmup_requests = 2;
+  return s;
+}
+
+/// The sweep_faults contract for either arm kind: every result is
+/// thread-count invariant, points come back in arm order, and the healthy
+/// reference is the fault-stripped scenario under the first arm.
+/// `apply_arm` writes one arm's posture into a scenario. Returns the
+/// serial sweep.
+template <typename Arm, typename ApplyArm>
+FaultSweep expect_fault_sweep_contract(const dc::Scenario& s, const std::vector<Arm>& arms,
+                                       ApplyArm apply_arm) {
+  const FaultSweep one = sweep_faults(s, arms, ghz(2.0), 1);
+  const FaultSweep four = sweep_faults(s, arms, ghz(2.0), 4);
+  EXPECT_EQ(one.scenario, s.name);
+  EXPECT_TRUE(one.healthy == four.healthy);
+  EXPECT_EQ(one.points.size(), arms.size());
+  EXPECT_EQ(four.points.size(), arms.size());
+  const std::size_t n = std::min({arms.size(), one.points.size(), four.points.size()});
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(one.points[i].label, arms[i].label);
+    EXPECT_EQ(four.points[i].label, arms[i].label);
+    EXPECT_TRUE(one.points[i].result == four.points[i].result) << arms[i].label;
+    EXPECT_GT(one.points[i].result.faults_injected, 0u) << arms[i].label;
+  }
+
+  EXPECT_EQ(one.healthy.faults_injected, 0u);
+  dc::Scenario healthy = s;
+  healthy.faults = fault::FaultConfig{};
+  apply_arm(healthy, arms.front());
+  EXPECT_TRUE(one.healthy == dc::run_scenario(healthy, ghz(2.0)));
+  // The last point is the last arm's run, not another arm's result
+  // under its label.
+  dc::Scenario last = s;
+  apply_arm(last, arms.back());
+  if (n == arms.size()) {
+    EXPECT_TRUE(one.points.back().result == dc::run_scenario(last, ghz(2.0)));
+  }
+  return one;
+}
+
+TEST(Dse, ResilienceFaultSweepIsThreadCountInvariant) {
+  const dc::Scenario s = small_chipfail();
+  // The first arm hedges every request at once, so it changes even the
+  // fault-free reference run; the default arms differ only under faults.
+  dc::ResilienceConfig eager = s.resilience;
+  eager.hedge_min_delay = microseconds(1.0);
+  eager.hedge_warmup = 1'000'000;
+  std::vector<ResilienceArm> arms{{"eager-hedge", eager}};
+  for (const auto& arm : default_resilience_arms(s)) arms.push_back(arm);
+  const FaultSweep sweep = expect_fault_sweep_contract(
+      s, arms, [](dc::Scenario& h, const ResilienceArm& arm) { h.resilience = arm.resilience; });
+  EXPECT_GT(sweep.healthy.hedged, 0u);
+}
+
+TEST(Dse, BrownoutFaultSweepIsThreadCountInvariant) {
+  const dc::Scenario s = small_rack_loss();
+  (void)expect_fault_sweep_contract(
+      s, default_brownout_arms(), [](dc::Scenario& h, const BrownoutArm& arm) {
+        h.brownout.enabled = arm.brownout;
+        if (arm.brownout) h.brownout.max_stage = arm.max_stage;
+        h.breaker.enabled = arm.breaker;
+        h.orchestration.autoscaler.emergency_wake = arm.emergency_wake;
+      });
 }
 
 TEST(Dse, TruncatedMarkFlagsOnlyTruncatedRows) {
