@@ -16,21 +16,6 @@
 
 namespace ntserv::dc {
 
-namespace {
-
-/// Run context for invariant-violation messages: where in the run the
-/// fleet was when the invariant broke — the difference between a
-/// diagnosable failure and a needle in a 1000-chip sweep.
-std::string run_context(double now_s, std::uint64_t epoch, std::uint64_t disposed,
-                        std::uint64_t total) {
-  std::ostringstream os;
-  os << "[t=" << now_s << "s, epoch " << epoch << ", disposed " << disposed << "/"
-     << total << "]";
-  return os.str();
-}
-
-}  // namespace
-
 const char* to_string(BalancePolicy p) {
   switch (p) {
     case BalancePolicy::kRoundRobin: return "round-robin";
@@ -149,6 +134,7 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
   for (std::size_t t = 0; t < specs.size(); ++t) {
     TenantState state;
     state.spec = specs[t];
+    state.result.name = specs[t].name;
     // Per-tenant streams keyed by tenant index: appending a tenant leaves
     // every earlier tenant's arrivals and budgets unchanged.
     state.arrivals = std::make_unique<ArrivalProcess>(
@@ -371,6 +357,11 @@ bool ClusterFleet::any_core_busy() const {
 }
 
 FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
+  NTSERV_EXPECTS(!ran_,
+                 "ClusterFleet::run is single-shot: the first run consumed the arrival "
+                 "streams and tenant ledgers; use dc::FleetRunner (a fresh engine per "
+                 "run) to repeat a run");
+  ran_ = true;
   if (threads <= 0) threads = sim::ThreadPool::default_threads();
   const double base_f = config_.frequency.value();
   const double max_s = static_cast<double>(config_.max_cycles) / base_f;
@@ -384,14 +375,19 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     tenant.next_arrival_s = tenant.arrivals->next().value();
   }
 
-  StreamingPercentiles latency;
-  RunningStats latency_mean, wait_mean;
+  // The run's only ledger: reported counters are written straight into
+  // `r` and the tenants' result slices; fleet totals that a tenant slice
+  // also carries are summed from the slices at the end.
+  FleetResult r;
+  const auto tenant_sum = [&](std::uint64_t TenantResult::*field) {
+    std::uint64_t sum = 0;
+    for (const auto& tenant : tenants_) sum += tenant.result.*field;
+    return sum;
+  };
+  LatencyLedger latency;
   double now_s = 0.0;
   std::uint64_t next_id = 0;  ///< global admission-order sequence
-  std::uint64_t offered = 0, admitted = 0, retry_count = 0, shed = 0;
   std::uint64_t disposed = 0;  ///< completed + shed + timed-out requests
-  std::uint64_t completed_total = 0, completed_measured = 0;
-  bool truncated = false;
   double last_arrival_s = 0.0;
   steered_ = 0;
 
@@ -463,14 +459,10 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   };
   std::priority_queue<HedgeDue, std::vector<HedgeDue>, std::greater<>> hedges;
 
-  std::uint64_t timed_out_count = 0, hedged_count = 0, hedge_wins = 0;
-  std::uint64_t redispatched_count = 0, wasted = 0, good_completions = 0;
-  std::uint64_t faults_injected = 0;
   int chips_down = 0, chips_degraded = 0;
   std::vector<char> chip_degraded(static_cast<std::size_t>(servers()), 0);
   std::uint64_t damaged_live = 0;  ///< pending requests touched by a fault
   double first_fault_s = -1.0, recovered_at = -1.0;
-  int guardband_epochs = 0;
 
   auto fault_active = [&] { return chips_down > 0 || chips_degraded > 0; };
   auto mark_damaged = [&](PendingRequest& pr) {
@@ -495,29 +487,29 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   epoch_start_s_ = 0.0;
   peek_window_s_ = 0.25 * epoch_len_s;
   std::uint64_t epoch_index = 0;
-  double energy_j = 0.0;
-  Second total_transition{0.0};
-  int transitions = 0, transition_epochs = 0, violations = 0;
-  std::vector<ctrl::EpochRecord> epoch_records;
+  // Run context for invariant-violation messages: where in the run the
+  // fleet was when the invariant broke — the difference between a
+  // diagnosable failure and a needle in a 1000-chip sweep.
+  const auto run_context = [&] {
+    std::ostringstream os;
+    os << "[t=" << now_s << "s, epoch " << epoch_index << ", disposed " << disposed << "/"
+       << total << "]";
+    return os.str();
+  };
 
-  // ---- Orchestration state (all idle when orchestration is off) ----
-  std::uint64_t parks = 0, unparks = 0, drains = 0, emergency_wakes = 0;
-  double wake_energy_j = 0.0;
-  int cap_clamp_epochs = 0, cap_violation_epochs = 0;
-  double peak_epoch_power = 0.0;
-  std::vector<double> group_energy_j;
-  std::vector<std::uint64_t> group_dispatches;
+  // Per-group ledgers (routing) and the time-in-stage attribution (ladder)
+  // exist only when their subsystem runs.
   if (router_) {
-    group_energy_j.assign(config_.orchestration.router.groups.size(), 0.0);
-    group_dispatches.assign(config_.orchestration.router.groups.size(), 0);
+    for (const auto& g : config_.orchestration.router.groups) r.group_names.push_back(g.name);
+    r.group_energy.assign(r.group_names.size(), Joule{0.0});
+    r.group_dispatches.assign(r.group_names.size(), 0);
+  }
+  if (brownout_) {
+    r.brownout_stage_epochs.assign(static_cast<std::size_t>(ctrl::kBrownoutStages), 0);
   }
 
-  // ---- Brownout / breaker state (idle when both are off) ----
+  // ---- Brownout state (idle when the ladder is off) ----
   ctrl::BrownoutStage stage = ctrl::BrownoutStage::kNormal;
-  std::uint64_t brownout_shed_total = 0;
-  int brownout_epochs = 0;
-  std::vector<int> stage_epochs(static_cast<std::size_t>(ctrl::kBrownoutStages), 0);
-  int breaker_open_epochs = 0;
   /// A correlated (domain-tagged) crash was delivered since the last
   /// barrier: the autoscaler's next decide() runs in emergency mode.
   bool domain_outage_pending = false;
@@ -639,30 +631,30 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       auto& chip = chips_[s];
       auto outcome = chip->close_epoch(now_s, duration, epoch_index, final_partial);
       if (!outcome.emitted) continue;
-      energy_j += outcome.energy_j;
+      r.energy += Joule{outcome.energy_j};
       epoch_energy_j += outcome.energy_j;
       if (metrics_ != nullptr && duration > 0.0) {
         chip_power_w[s] = outcome.energy_j / duration;
       }
-      if (!group_energy_j.empty()) {
-        group_energy_j[static_cast<std::size_t>(chip->group())] += outcome.energy_j;
+      if (!r.group_energy.empty()) {
+        r.group_energy[static_cast<std::size_t>(chip->group())] += Joule{outcome.energy_j};
       }
-      if (outcome.transition_s > 0.0) ++transitions;
+      if (outcome.transition_s > 0.0) ++r.transitions;
       // Recorded per-epoch overlaps sum to the realized stall time, so
       // the records and the total stay consistent by construction.
-      total_transition += outcome.record.transition_time;
-      if (outcome.record.transition) ++transition_epochs;
-      if (outcome.record.violation) ++violations;
-      if (outcome.record.margin > 0.0) ++guardband_epochs;
-      if (outcome.record.capped) ++cap_clamp_epochs;
-      epoch_records.push_back(outcome.record);
+      r.transition_time_total += outcome.record.transition_time;
+      if (outcome.record.transition) ++r.transition_epochs;
+      if (outcome.record.violation) ++r.qos_violation_epochs;
+      if (outcome.record.margin > 0.0) ++r.guardband_epochs;
+      if (outcome.record.capped) ++r.cap_clamp_epochs;
+      r.epochs.push_back(outcome.record);
     }
     if (duration > 0.0) {
       const double realized_power = epoch_energy_j / duration;
-      peak_epoch_power = std::max(peak_epoch_power, realized_power);
+      r.peak_epoch_power = std::max(r.peak_epoch_power, Watt{realized_power});
       if (capper_ &&
           realized_power > capper_->config().fleet_cap.value() * (1.0 + 1e-9)) {
-        ++cap_violation_epochs;
+        ++r.cap_violation_epochs;
       }
     }
     if (!final_partial && brownout_) {
@@ -684,18 +676,18 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
               : (outstanding_total > 0 ? 1e9 : 0.0);
       stage = brownout_->observe(pressure);
       // The stage set here governs the *upcoming* epoch's dispatches.
-      ++stage_epochs[static_cast<std::size_t>(stage)];
+      ++r.brownout_stage_epochs[static_cast<std::size_t>(stage)];
       if (stage != ctrl::BrownoutStage::kNormal) {
-        ++brownout_epochs;
+        ++r.brownout_epochs;
         for (auto& tenant : tenants_) {
-          if (!tenant.spec.latency_critical) ++tenant.brownout_epochs;
+          if (!tenant.spec.latency_critical) ++tenant.result.brownout_epochs;
         }
       }
     }
     if (!final_partial && !breakers_.empty()) {
       for (auto& b : breakers_) {
         b.close_epoch();
-        if (b.state() == ctrl::BreakerState::kOpen) ++breaker_open_epochs;
+        if (b.state() == ctrl::BreakerState::kOpen) ++r.breaker_open_epochs;
       }
     }
     if (!final_partial && router_) router_->observe_epoch(epoch_index, chip_status());
@@ -714,12 +706,12 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
                 autoscaler_->config().wake_latency_for(now_s - chip.parked_since());
             // Reporting slice only: the wake stall is charged through the
             // overlapped epochs like any transition.
-            wake_energy_j += managers_[static_cast<std::size_t>(chip.group())]
-                                 ->wake_energy(chip.frequency(), wake)
-                                 .value();
+            r.wake_energy +=
+                managers_[static_cast<std::size_t>(chip.group())]->wake_energy(
+                    chip.frequency(), wake);
             chip.unpark(now_s, wake);
-            ++unparks;
-            if (emergency) ++emergency_wakes;
+            ++r.autoscale_unparks;
+            if (emergency) ++r.emergency_wakes;
             if (trace_ != nullptr) {
               trace_->emit_now(obs::EventKind::kUnpark, d.chip, /*tenant=*/-1,
                                /*id=*/emergency ? 1 : 0, /*value=*/wake.value());
@@ -732,14 +724,14 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
             break;
           case orch::ScaleAction::kDrain:
             chip.begin_drain();
-            ++drains;
+            ++r.autoscale_drains;
             if (trace_ != nullptr) trace_->emit_now(obs::EventKind::kDrain, d.chip);
             break;
           case orch::ScaleAction::kPark:
             // Re-check live state: the decision was made on a snapshot.
             if (!chip.down() && !chip.parked() && chip.outstanding() == 0) {
               chip.park(now_s);
-              ++parks;
+              ++r.autoscale_parks;
               if (trace_ != nullptr) trace_->emit_now(obs::EventKind::kPark, d.chip);
             }
             break;
@@ -770,14 +762,16 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
         metrics_->set(ids.down, chip.down() ? 1.0 : 0.0);
         if (chip.parked()) ++parked_chips;
       }
-      metrics_->set(fm.offered, static_cast<double>(offered));
-      metrics_->set(fm.completed, static_cast<double>(completed_total));
-      metrics_->set(fm.shed, static_cast<double>(shed));
-      metrics_->set(fm.timed_out, static_cast<double>(timed_out_count));
-      metrics_->set(fm.retries, static_cast<double>(retry_count));
-      metrics_->set(fm.p50, latency.count() > 0 ? latency.p50() * 1e6 : 0.0);
-      metrics_->set(fm.p95, latency.count() > 0 ? latency.p95() * 1e6 : 0.0);
-      metrics_->set(fm.p99, latency.count() > 0 ? latency.p99() * 1e6 : 0.0);
+      const StreamingPercentiles& tail = latency.percentiles;
+      metrics_->set(fm.offered, static_cast<double>(tenant_sum(&TenantResult::offered)));
+      metrics_->set(fm.completed,
+                    static_cast<double>(tenant_sum(&TenantResult::completed_all)));
+      metrics_->set(fm.shed, static_cast<double>(tenant_sum(&TenantResult::shed)));
+      metrics_->set(fm.timed_out, static_cast<double>(tenant_sum(&TenantResult::timed_out)));
+      metrics_->set(fm.retries, static_cast<double>(r.retries));
+      metrics_->set(fm.p50, tail.count() > 0 ? tail.p50() * 1e6 : 0.0);
+      metrics_->set(fm.p95, tail.count() > 0 ? tail.p95() * 1e6 : 0.0);
+      metrics_->set(fm.p99, tail.count() > 0 ? tail.p99() * 1e6 : 0.0);
       metrics_->set(fm.brownout, static_cast<double>(static_cast<int>(stage)));
       metrics_->set(fm.power, duration > 0.0 ? epoch_energy_j / duration : 0.0);
       metrics_->set(fm.parked, static_cast<double>(parked_chips));
@@ -801,24 +795,16 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
 
   auto measure_completion = [&](const Request& req, bool damaged) {
     TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
-    ++completed_total;
-    ++tenant.completed_all;
+    ++tenant.result.completed_all;
     if (req.tenant_seq >= tenant.spec.warmup_requests) {
-      ++completed_measured;
       if (metrics_ != nullptr) metrics_->observe(fm.latency_hist, req.latency_s() * 1e6);
-      latency.add(req.latency_s());
-      latency_mean.add(req.latency_s());
-      wait_mean.add(req.wait_s());
-      ++tenant.completed_measured;
-      tenant.latency.add(req.latency_s());
-      tenant.latency_mean.add(req.latency_s());
-      tenant.wait_mean.add(req.wait_s());
+      latency.add(req);
+      ++tenant.result.completed;
+      tenant.latency.add(req);
       const double limit = tenant.spec.qos_p99_limit.value();
       if (limit > 0.0 && req.latency_s() > limit) {
-        ++tenant.sla_violations;
-        if (damaged) ++tenant.degraded_sla_violations;
-      } else {
-        ++good_completions;
+        ++tenant.result.sla_violations;
+        if (damaged) ++tenant.result.degraded_sla_violations;
       }
     }
   };
@@ -848,23 +834,20 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       breakers_[static_cast<std::size_t>(req.server)].record_success();
     }
     if (dead_copies.erase(req.copy) > 0) {
-      ++wasted;
+      ++r.wasted_completions;
       return;
     }
     auto it = pending.find(req.id);
-    NTSERV_ENSURES(it != pending.end(),
-                   "completion for an unknown request " +
-                       run_context(now_s, epoch_index, disposed, total));
+    NTSERV_ENSURES(it != pending.end(), "completion for an unknown request " + run_context());
     PendingRequest& pr = it->second;
     auto lit = std::find_if(pr.live.begin(), pr.live.end(),
                             [&](const LiveCopy& c) { return c.copy == req.copy; });
     NTSERV_ENSURES(lit != pr.live.end(),
-                   "completion for a copy that is neither live nor dead " +
-                       run_context(now_s, epoch_index, disposed, total));
+                   "completion for a copy that is neither live nor dead " + run_context());
     pr.live.erase(lit);
     for (const auto& other : pr.live) cancel_copy(other);
     pr.live.clear();
-    if (req.hedge) ++hedge_wins;
+    if (req.hedge) ++r.hedge_wins;
     if (trace_ != nullptr) {
       trace_->emit(obs::EventKind::kComplete, req.server, req.completion_s, req.tenant,
                    static_cast<std::int64_t>(req.id), /*value=*/req.latency_s(),
@@ -878,25 +861,48 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   // running p95, with a configured floor until enough completions exist
   // for the estimate to be a tail.
   auto hedge_delay = [&]() {
-    if (latency.count() >= res.hedge_warmup && latency.p95() > 0.0) {
-      return res.hedge_multiplier * latency.p95();
+    if (latency.percentiles.count() >= res.hedge_warmup && latency.percentiles.p95() > 0.0) {
+      return res.hedge_multiplier * latency.percentiles.p95();
     }
     return res.hedge_min_delay.value();
   };
 
-  // Every admission into a chip queue flows through here so the
-  // per-group dispatch ledger (routed fleets) stays consistent with the
-  // fleet-wide admitted count by construction.
-  auto note_admit = [&](int server) {
-    ++admitted;
+  // Admit one copy of a pending request (a primary, or a hedge when
+  // req.hedge) into chip `server`'s queue. Every admission flows through
+  // here, so the admitted count, the per-group dispatch ledger (routed
+  // fleets) and the breaker's dispatch window agree by construction.
+  auto admit_copy = [&](PendingRequest& pr, Request req, int server, double event_s,
+                        bool critical) {
+    auto& chip = *chips_[static_cast<std::size_t>(server)];
+    req.server = server;
+    req.copy = ++copy_seq;
+    chip.queue().push_back(req);
+    ++r.admitted;
     if (!breakers_.empty()) {
       breakers_[static_cast<std::size_t>(server)].record_dispatch();
     }
-    if (!group_dispatches.empty()) {
-      const auto g =
-          static_cast<std::size_t>(chips_[static_cast<std::size_t>(server)]->group());
-      ++group_dispatches[g];
+    if (!r.group_dispatches.empty()) {
+      ++r.group_dispatches[static_cast<std::size_t>(chip.group())];
     }
+    if (trace_ != nullptr) {
+      trace_->emit(req.hedge ? obs::EventKind::kHedge : obs::EventKind::kDispatch, server,
+                   event_s, req.tenant, static_cast<std::int64_t>(req.id));
+    }
+    pr.live.push_back({req.copy, server});
+    if (chip.down() || chip.degraded()) mark_damaged(pr);
+    if (timeout_s > 0.0) timeouts.push({event_s + timeout_for(critical), req.copy, req.id});
+  };
+
+  // Hand a request back to its client as a parked retry at the base
+  // back-off, without charging its retry budget: the fleet has no chip
+  // to place it on until a recovery.
+  auto park_until_recovery = [&](const Request& req, double event_s) {
+    const double due = event_s + admission_.retry_delay(0).value();
+    if (trace_ != nullptr) {
+      trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, event_s, req.tenant,
+                   static_cast<std::int64_t>(req.id), /*value=*/0.0, /*aux_s=*/due);
+    }
+    retries_.push(RetryEntry{due, req});
   };
 
   // One dispatch attempt at event time `event_s` (arrival, back-off
@@ -906,9 +912,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   // without charging the retry budget.
   auto dispatch = [&](Request req, double event_s, bool fresh) {
     auto pit = pending.find(req.id);
-    NTSERV_ENSURES(pit != pending.end(),
-                   "dispatch of an untracked request " +
-                       run_context(now_s, epoch_index, disposed, total));
+    NTSERV_ENSURES(pit != pending.end(), "dispatch of an untracked request " + run_context());
     PendingRequest& pr = pit->second;
     const bool critical =
         tenants_[static_cast<std::size_t>(req.tenant)].spec.latency_critical;
@@ -917,10 +921,8 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       // in the same shed column (the tiling invariant holds) plus the
       // brownout attribution so a post-mortem can split deliberate from
       // overload shed.
-      TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
-      ++shed;
+      TenantResult& tenant = tenants_[static_cast<std::size_t>(req.tenant)].result;
       ++tenant.shed;
-      ++brownout_shed_total;
       ++tenant.brownout_shed;
       if (trace_ != nullptr) {
         trace_->emit(obs::EventKind::kBrownoutShed, /*chip=*/-1, event_s, req.tenant,
@@ -931,31 +933,13 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     }
     const int server = pick_server(req, now_s);
     if (server < 0) {
-      const double due = event_s + admission_.retry_delay(0).value();
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, event_s, req.tenant,
-                     static_cast<std::int64_t>(req.id), /*value=*/0.0, /*aux_s=*/due);
-      }
-      retries_.push(RetryEntry{due, req});
+      park_until_recovery(req, event_s);
       return;
     }
-    req.server = server;
     if (admission_.admit(outstanding(server), cores_per_server())) {
-      req.copy = ++copy_seq;
       req.hedge = false;
-      auto& chip = *chips_[static_cast<std::size_t>(server)];
-      chip.queue().push_back(req);
-      note_admit(server);
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kDispatch, server, event_s, req.tenant,
-                     static_cast<std::int64_t>(req.id));
-      }
-      pr.live.push_back({req.copy, server});
+      admit_copy(pr, req, server, event_s, critical);
       pr.proto.attempts = req.attempts;
-      if (chip.down() || chip.degraded()) mark_damaged(pr);
-      if (timeout_s > 0.0) {
-        timeouts.push({event_s + timeout_for(critical), req.copy, req.id});
-      }
       if (res.hedging && !pr.hedged && pr.live.size() == 1 && servers() > 1 &&
           !hedge_suppressed(critical)) {
         hedges.push({event_s + hedge_delay(), req.id});
@@ -963,7 +947,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       return;
     }
     if (admission_.may_retry(req.attempts)) {
-      ++retry_count;
+      ++r.retries;
       const double due = event_s + admission_.retry_delay(req.attempts).value();
       if (trace_ != nullptr) {
         trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, event_s, req.tenant,
@@ -974,8 +958,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       retries_.push(RetryEntry{due, req});
       return;
     }
-    ++shed;
-    ++tenants_[static_cast<std::size_t>(req.tenant)].shed;
+    ++tenants_[static_cast<std::size_t>(req.tenant)].result.shed;
     if (trace_ != nullptr) {
       trace_->emit(obs::EventKind::kShed, /*chip=*/-1, event_s, req.tenant,
                    static_cast<std::int64_t>(req.id));
@@ -1004,24 +987,12 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
         least_loaded(/*healthy_only=*/true, /*exclude=*/primary,
                      /*avoid_domain=*/chip_domain_[static_cast<std::size_t>(primary)]);
     if (server < 0) return;
-    auto& chip = *chips_[static_cast<std::size_t>(server)];
     if (!admission_.admit(outstanding(server), cores_per_server())) return;
     Request req = pr.proto;
-    req.server = server;
-    req.copy = ++copy_seq;
     req.hedge = true;
-    chip.queue().push_back(req);
-    note_admit(server);
-    pr.live.push_back({req.copy, server});
+    admit_copy(pr, req, server, event_s, critical);
     pr.hedged = true;
-    ++hedged_count;
-    ++tenants_[static_cast<std::size_t>(req.tenant)].hedged;
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventKind::kHedge, server, event_s, req.tenant,
-                   static_cast<std::int64_t>(id));
-    }
-    if (chip.down() || chip.degraded()) mark_damaged(pr);
-    if (timeout_s > 0.0) timeouts.push({event_s + timeout_for(critical), req.copy, id});
+    ++tenants_[static_cast<std::size_t>(req.tenant)].result.hedged;
   };
 
   // Expire per-attempt timeouts due by `now_s`: abandon the late copy;
@@ -1045,15 +1016,14 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       if (!pr.live.empty()) continue;  // a sibling copy is still racing
       Request req = pr.proto;
       if (admission_.may_retry(req.attempts)) {
-        ++retry_count;
+        ++r.retries;
         const double due = d.due_s + admission_.retry_delay(req.attempts).value();
         ++req.attempts;
         pr.proto.attempts = req.attempts;
         retries_.push(RetryEntry{due, req});
         continue;
       }
-      ++timed_out_count;
-      ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].timed_out;
+      ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].result.timed_out;
       if (trace_ != nullptr) {
         trace_->emit(obs::EventKind::kTimeout, /*chip=*/-1, d.due_s, pr.proto.tenant,
                      static_cast<std::int64_t>(d.id));
@@ -1074,7 +1044,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   // failover, to the dispatcher).
   auto apply_fault = [&](const fault::FaultEvent& e) {
     auto& chip = *chips_[static_cast<std::size_t>(e.chip)];
-    ++faults_injected;
+    ++r.faults_injected;
     if (first_fault_s < 0.0) first_fault_s = e.at_s;
     recovered_at = -1.0;  // a new fault reopens the recovery window
     const auto damage_residents = [&] {
@@ -1104,35 +1074,25 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
           auto& qd = chip.queue();
           victims.insert(victims.end(), qd.begin(), qd.end());
           qd.clear();
-          for (Request& r : victims) {
-            auto pit = pending.find(r.id);
-            NTSERV_ENSURES(pit != pending.end(),
-                           "crash victim is untracked " +
-                               run_context(now_s, epoch_index, disposed, total));
+          for (Request& victim : victims) {
+            auto pit = pending.find(victim.id);
+            NTSERV_ENSURES(pit != pending.end(), "crash victim is untracked " + run_context());
             auto& live = pit->second.live;
             live.erase(std::find_if(live.begin(), live.end(), [&](const LiveCopy& c) {
-              return c.copy == r.copy;
+              return c.copy == victim.copy;
             }));
             const int target = least_loaded(/*healthy_only=*/true);
             if (target >= 0) {
-              r.server = target;
-              chips_[static_cast<std::size_t>(target)]->queue().push_back(r);
-              live.push_back({r.copy, target});
-              ++redispatched_count;
-              ++tenants_[static_cast<std::size_t>(r.tenant)].redispatched;
+              victim.server = target;
+              chips_[static_cast<std::size_t>(target)]->queue().push_back(victim);
+              live.push_back({victim.copy, target});
+              ++tenants_[static_cast<std::size_t>(victim.tenant)].result.redispatched;
               if (trace_ != nullptr) {
-                trace_->emit_now(obs::EventKind::kRedispatch, target, r.tenant,
-                                 static_cast<std::int64_t>(r.id));
+                trace_->emit_now(obs::EventKind::kRedispatch, target, victim.tenant,
+                                 static_cast<std::int64_t>(victim.id));
               }
             } else {
-              // Fully-dark fleet: back to the client as a parked retry.
-              const double due = now_s + admission_.retry_delay(0).value();
-              if (trace_ != nullptr) {
-                trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, now_s, r.tenant,
-                             static_cast<std::int64_t>(r.id), /*value=*/0.0,
-                             /*aux_s=*/due);
-              }
-              retries_.push(RetryEntry{due, pit->second.proto});
+              park_until_recovery(pit->second.proto, now_s);  // fully-dark fleet
             }
           }
         } else {
@@ -1175,8 +1135,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       case fault::FaultKind::kThermalEmergency:
         // Domain-level kinds expand to per-chip primitives when the
         // schedule is resolved; the injector never delivers them.
-        NTSERV_EXPECTS(false, "unexpanded domain-level fault reached delivery " +
-                                  run_context(now_s, epoch_index, disposed, total));
+        NTSERV_EXPECTS(false, "unexpanded domain-level fault reached delivery " + run_context());
         break;
     }
     note_recovery(now_s);
@@ -1186,7 +1145,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   auto next_arrival_tenant = [&]() -> std::size_t {
     std::size_t best = tenants_.size();
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
-      if (tenants_[t].offered >= tenants_[t].total) continue;
+      if (tenants_[t].result.offered >= tenants_[t].total) continue;
       if (best == tenants_.size() ||
           tenants_[t].next_arrival_s < tenants_[best].next_arrival_s) {
         best = t;
@@ -1238,7 +1197,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
 
   while (disposed < total) {
     if (now_s >= max_s) {
-      truncated = true;
+      r.truncated = true;
       break;
     }
     if (trace_ != nullptr) trace_->set_now(now_s);
@@ -1264,13 +1223,12 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
         Request req;
         req.id = next_id++;
         req.tenant = static_cast<int>(t);
-        req.tenant_seq = tenant.offered;
+        req.tenant_seq = tenant.result.offered;
         req.arrival_s = tenant.next_arrival_s;
         req.budget = tenant.budgets->sample(req.tenant_seq);
         last_arrival_s = std::max(last_arrival_s, tenant.next_arrival_s);
-        ++tenant.offered;
-        ++offered;
-        if (tenant.offered < tenant.total) {
+        ++tenant.result.offered;
+        if (tenant.result.offered < tenant.total) {
           tenant.next_arrival_s = tenant.arrivals->next().value();
         }
         pending.emplace(req.id, PendingRequest{req, {}, false, false});
@@ -1298,11 +1256,8 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
       // Governed runs additionally stop at the epoch boundary so every
       // chip's governor observes every epoch, idle or not.
       double next_event = std::numeric_limits<double>::infinity();
-      for (const auto& tenant : tenants_) {
-        if (tenant.offered < tenant.total) {
-          next_event = std::min(next_event, tenant.next_arrival_s);
-        }
-      }
+      const std::size_t t = next_arrival_tenant();
+      if (t < tenants_.size()) next_event = tenants_[t].next_arrival_s;
       if (!retries_.empty()) next_event = std::min(next_event, retries_.top().due_s);
       if (!timeouts.empty()) next_event = std::min(next_event, timeouts.top().due_s);
       if (!hedges.empty()) next_event = std::min(next_event, hedges.top().due_s);
@@ -1326,8 +1281,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
           now_s = max_s;
           continue;
         }
-        NTSERV_EXPECTS(false, "idle fleet with requests unaccounted for " +
-                                  run_context(now_s, epoch_index, disposed, total));
+        NTSERV_EXPECTS(false, "idle fleet with requests unaccounted for " + run_context());
       }
       double target = std::max(now_s + 1.0 / base_f,
                                std::ceil(next_event * base_f) / base_f);
@@ -1344,147 +1298,82 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
   if (governed_) close_epochs(true);
   if (trace_ != nullptr) trace_->finish();
 
+  // In-flight remainders at truncation, attributed to their tenants so
+  // the per-tenant ledgers tile too.
+  for (const auto& [id, pr] : pending) {
+    ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].result.in_flight;
+  }
+  r.offered = tenant_sum(&TenantResult::offered);
+  r.completed = tenant_sum(&TenantResult::completed);
+  r.completed_all = tenant_sum(&TenantResult::completed_all);
+  r.shed = tenant_sum(&TenantResult::shed);
+  r.timed_out = tenant_sum(&TenantResult::timed_out);
+  r.hedged = tenant_sum(&TenantResult::hedged);
+  r.redispatched = tenant_sum(&TenantResult::redispatched);
+  r.brownout_shed = tenant_sum(&TenantResult::brownout_shed);
+  r.sla_violations = tenant_sum(&TenantResult::sla_violations);
+  r.degraded_sla_violations = tenant_sum(&TenantResult::degraded_sla_violations);
+  r.in_flight = pending.size();
   // The availability ledger must tile: every offered request is exactly
   // one of completed, shed, timed out, or still in flight (truncation).
-  NTSERV_ENSURES(offered == completed_total + shed + timed_out_count + pending.size(),
-                 "request accounting does not tile " +
-                     run_context(now_s, epoch_index, disposed, total));
+  NTSERV_ENSURES(r.offered == r.completed_all + r.shed + r.timed_out + r.in_flight,
+                 "request accounting does not tile " + run_context());
 
-  FleetResult r;
   r.workload = config_.profile.name;
   r.frequency = config_.frequency;
-  r.completed = completed_measured;
-  r.offered = offered;
-  r.admitted = admitted;
-  r.retries = retry_count;
-  r.shed = shed;
-  r.shed_rate = offered > 0 ? static_cast<double>(shed) / static_cast<double>(offered) : 0.0;
+  r.shed_rate =
+      r.offered > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.offered) : 0.0;
   r.steered = steered_;
-  r.truncated = truncated;
-  r.completed_all = completed_total;
-  r.timed_out = timed_out_count;
-  r.hedged = hedged_count;
-  r.hedge_wins = hedge_wins;
-  r.redispatched = redispatched_count;
-  r.wasted_completions = wasted;
-  r.in_flight = pending.size();
-  r.faults_injected = faults_injected;
   if (first_fault_s >= 0.0) {
     r.first_fault = Second{first_fault_s};
-    if (recovered_at >= 0.0 && !truncated) {
+    if (recovered_at >= 0.0 && !r.truncated) {
       r.recovered = true;
       r.time_to_recover = Second{recovered_at - first_fault_s};
     }
   }
-  r.guardband_epochs = guardband_epochs;
   r.governed = governed_;
   r.brownout_enabled = brownout_.has_value();
   r.breakers_enabled = !breakers_.empty();
   r.autoscaled = autoscaler_.has_value();
-  r.brownout_shed = brownout_shed_total;
-  r.brownout_epochs = brownout_epochs;
-  // The time-in-stage attribution is only a measurement when the ladder
-  // ran; without it the vector stays empty (see has_brownout_ladder()).
-  if (brownout_.has_value()) r.brownout_stage_epochs = stage_epochs;
   for (const auto& b : breakers_) r.breaker_trips += b.trips();
-  r.breaker_open_epochs = breaker_open_epochs;
-  // In-flight remainders at truncation, attributed to their tenants so
-  // the per-tenant ledgers tile too.
-  for (const auto& [id, pr] : pending) {
-    ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].in_flight_at_end;
-  }
   r.span_seconds = Second{now_s};
   r.span_cycles = static_cast<Cycle>(std::llround(now_s * base_f));
-  if (latency.count() > 0) {
-    r.mean_latency = Second{latency_mean.mean()};
-    r.p50 = Second{latency.p50()};
-    r.p95 = Second{latency.p95()};
-    r.p99 = Second{latency.p99()};
-    r.mean_wait = Second{wait_mean.mean()};
-  }
+  latency.fill(r);
   if (last_arrival_s > 0.0) {
-    r.offered_rate = static_cast<double>(offered) / last_arrival_s;
+    r.offered_rate = static_cast<double>(r.offered) / last_arrival_s;
   }
   if (now_s > 0.0) {
-    r.throughput = static_cast<double>(completed_total) / now_s;
-    r.goodput = static_cast<double>(good_completions) / now_s;
+    r.throughput = static_cast<double>(r.completed_all) / now_s;
+    // Measured completions within their tenant's bound (violations are a
+    // subset of the measured completions).
+    r.goodput = static_cast<double>(r.completed - r.sla_violations) / now_s;
   }
-  double busy_core_seconds = 0.0;
+  double busy_core_seconds = 0.0, parked_s = 0.0;
   double freq_seconds = 0.0, governed_seconds = 0.0;
   r.server_active_fraction.reserve(chips_.size());
   for (const auto& chip : chips_) {
     busy_core_seconds += chip->busy_core_seconds();
     freq_seconds += chip->freq_seconds();
     governed_seconds += chip->governed_seconds();
+    parked_s += chip->parked_seconds(now_s);
     r.server_active_fraction.push_back(now_s > 0.0 ? chip->active_seconds() / now_s : 0.0);
   }
   if (now_s > 0.0) {
     r.utilization = busy_core_seconds / (now_s * static_cast<double>(total_cores));
   }
-  r.energy = Joule{energy_j};
   r.avg_frequency_ghz = governed_seconds > 0.0 ? freq_seconds / governed_seconds / 1e9 : 0.0;
-  r.transitions = transitions;
-  r.transition_time_total = total_transition;
-  r.transition_epochs = transition_epochs;
-  r.qos_violation_epochs = violations;
-  r.epochs = std::move(epoch_records);
-
-  r.autoscale_parks = parks;
-  r.autoscale_unparks = unparks;
-  r.autoscale_drains = drains;
-  r.emergency_wakes = emergency_wakes;
-  double parked_s = 0.0;
-  for (const auto& chip : chips_) parked_s += chip->parked_seconds(now_s);
   r.parked_seconds = Second{parked_s};
-  r.wake_energy = Joule{wake_energy_j};
-  r.cap_clamp_epochs = cap_clamp_epochs;
-  r.cap_violation_epochs = cap_violation_epochs;
   if (capper_) r.fleet_cap = capper_->config().fleet_cap;
-  r.peak_epoch_power = Watt{peak_epoch_power};
-  if (router_) {
-    r.router_epochs = router_->epochs();
-    for (const auto& g : config_.orchestration.router.groups) {
-      r.group_names.push_back(g.name);
-    }
-    r.group_dispatches = group_dispatches;
-    r.group_energy.reserve(group_energy_j.size());
-    for (double e : group_energy_j) r.group_energy.push_back(Joule{e});
-  }
+  if (router_) r.router_epochs = router_->epochs();
 
   r.tenants.reserve(tenants_.size());
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    const TenantState& state = tenants_[t];
-    TenantResult tr;
-    tr.name = state.spec.name;
-    tr.completed = state.completed_measured;
-    tr.offered = state.offered;
-    tr.shed = state.shed;
-    tr.shed_rate = state.offered > 0
-                       ? static_cast<double>(state.shed) / static_cast<double>(state.offered)
-                       : 0.0;
-    if (state.latency.count() > 0) {
-      tr.mean_latency = Second{state.latency_mean.mean()};
-      tr.p50 = Second{state.latency.p50()};
-      tr.p95 = Second{state.latency.p95()};
-      tr.p99 = Second{state.latency.p99()};
-      tr.mean_wait = Second{state.wait_mean.mean()};
-    }
-    tr.sla_violations = state.sla_violations;
-    tr.completed_all = state.completed_all;
-    tr.timed_out = state.timed_out;
-    tr.hedged = state.hedged;
-    tr.redispatched = state.redispatched;
-    tr.in_flight = state.in_flight_at_end;
-    tr.degraded_sla_violations = state.degraded_sla_violations;
-    tr.brownout_shed = state.brownout_shed;
-    tr.brownout_epochs = state.brownout_epochs;
-    r.sla_violations += state.sla_violations;
-    r.degraded_sla_violations += state.degraded_sla_violations;
-    NTSERV_ENSURES(state.offered ==
-                       state.completed_all + state.shed + state.timed_out +
-                           state.in_flight_at_end,
-                   "tenant '" + state.spec.name + "' accounting does not tile " +
-                       run_context(now_s, epoch_index, disposed, total));
+    TenantResult& tr = tenants_[t].result;
+    NTSERV_ENSURES(tr.offered == tr.completed_all + tr.shed + tr.timed_out + tr.in_flight,
+                   "tenant '" + tr.name + "' accounting does not tile " + run_context());
+    tr.shed_rate =
+        tr.offered > 0 ? static_cast<double>(tr.shed) / static_cast<double>(tr.offered) : 0.0;
+    tenants_[t].latency.fill(tr);
     for (const auto& chip : chips_) {
       tr.busy_core_seconds += chip->tenant_busy_seconds(static_cast<int>(t));
     }
@@ -1493,7 +1382,7 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     // Energy attribution by occupied core time: the tenant that kept the
     // cores busy carries the matching share of the envelope energy
     // (idle/sleep overhead rides along proportionally).
-    tr.energy = Joule{energy_j * tr.busy_share};
+    tr.energy = Joule{r.energy.value() * tr.busy_share};
     r.tenants.push_back(std::move(tr));
   }
   return r;

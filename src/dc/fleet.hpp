@@ -422,7 +422,9 @@ class ClusterFleet {
   /// sim::ThreadPool::default_threads()); completions are staged per
   /// chip and drained in ascending chip order at each quantum, and the
   /// control plane stays serial, so the result AND the telemetry stream
-  /// are bit-identical for any thread count.
+  /// are bit-identical for any thread count. Single-shot: the run
+  /// consumes the arrival streams and tenant ledgers, so a second call
+  /// throws ModelError; dc::FleetRunner builds a fresh engine per run.
   ///
   /// `telemetry` (may be null) is wired at the start of the run; only its
   /// *enabled* components are attached, so a disabled TraceSink costs
@@ -432,28 +434,41 @@ class ClusterFleet {
   [[nodiscard]] FleetResult run(int threads = 1, obs::Telemetry* telemetry = nullptr);
 
  private:
-  /// One tenant's generators and running measurement.
+  /// Latency measurement over measured completions, kept by the fleet
+  /// and by each tenant.
+  struct LatencyLedger {
+    StreamingPercentiles percentiles;
+    RunningStats latency;
+    RunningStats wait;
+
+    void add(const Request& req) {
+      percentiles.add(req.latency_s());
+      latency.add(req.latency_s());
+      wait.add(req.wait_s());
+    }
+    /// Fill a FleetResult's or TenantResult's mean/p50/p95/p99/mean_wait
+    /// (left zero when nothing was measured).
+    template <class Result>
+    void fill(Result& result) const {
+      if (percentiles.count() == 0) return;
+      result.mean_latency = Second{latency.mean()};
+      result.p50 = Second{percentiles.p50()};
+      result.p95 = Second{percentiles.p95()};
+      result.p99 = Second{percentiles.p99()};
+      result.mean_wait = Second{wait.mean()};
+    }
+  };
+
+  /// One tenant's generators and its live slice of the run's result:
+  /// counters are written where they happen, derived fields at run end.
   struct TenantState {
     TenantSpec spec;
     std::unique_ptr<ArrivalProcess> arrivals;
     std::unique_ptr<ctrl::BudgetSampler> budgets;
     double next_arrival_s = 0.0;
     std::uint64_t total = 0;  ///< requests + warmup_requests
-    std::uint64_t offered = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed_measured = 0;
-    std::uint64_t completed_all = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t hedged = 0;
-    std::uint64_t redispatched = 0;
-    std::uint64_t sla_violations = 0;
-    std::uint64_t degraded_sla_violations = 0;
-    std::uint64_t brownout_shed = 0;
-    std::uint64_t brownout_epochs = 0;
-    std::uint64_t in_flight_at_end = 0;
-    StreamingPercentiles latency;
-    RunningStats latency_mean;
-    RunningStats wait_mean;
+    TenantResult result;
+    LatencyLedger latency;
   };
 
   /// A client waiting out its back-off before the next dispatch attempt.
@@ -505,6 +520,7 @@ class ClusterFleet {
   obs::PhaseTimers* timers_ = nullptr;
   int round_robin_next_ = 0;
   bool governed_ = false;
+  bool ran_ = false;  ///< run() consumes the arrival streams and tenant ledgers
   std::uint64_t steered_ = 0;
   // Epoch window the governor-aware peeks read (set during run()).
   double epoch_start_s_ = 0.0;

@@ -34,7 +34,11 @@ FleetConfig small_config() { return small_builder().build(); }
 
 void expect_tiling(const FleetResult& r) {
   EXPECT_EQ(r.offered, r.completed_all + r.shed + r.timed_out + r.in_flight);
+  // Every fleet total is the sum of its tenant slices, and goodput's
+  // numerator is the measured completions that met their bound.
   std::uint64_t offered = 0, completed = 0, shed = 0, timed_out = 0, in_flight = 0;
+  std::uint64_t measured = 0, hedged = 0, redispatched = 0, brownout_shed = 0;
+  std::uint64_t violations = 0, degraded = 0;
   for (const auto& t : r.tenants) {
     EXPECT_EQ(t.offered, t.completed_all + t.shed + t.timed_out + t.in_flight)
         << "tenant " << t.name;
@@ -43,12 +47,28 @@ void expect_tiling(const FleetResult& r) {
     shed += t.shed;
     timed_out += t.timed_out;
     in_flight += t.in_flight;
+    measured += t.completed;
+    hedged += t.hedged;
+    redispatched += t.redispatched;
+    brownout_shed += t.brownout_shed;
+    violations += t.sla_violations;
+    degraded += t.degraded_sla_violations;
   }
   EXPECT_EQ(offered, r.offered);
   EXPECT_EQ(completed, r.completed_all);
   EXPECT_EQ(shed, r.shed);
   EXPECT_EQ(timed_out, r.timed_out);
   EXPECT_EQ(in_flight, r.in_flight);
+  EXPECT_EQ(measured, r.completed);
+  EXPECT_EQ(hedged, r.hedged);
+  EXPECT_EQ(redispatched, r.redispatched);
+  EXPECT_EQ(brownout_shed, r.brownout_shed);
+  EXPECT_EQ(violations, r.sla_violations);
+  EXPECT_EQ(degraded, r.degraded_sla_violations);
+  if (r.span_seconds.value() > 0.0) {
+    EXPECT_EQ(r.goodput,
+              static_cast<double>(measured - violations) / r.span_seconds.value());
+  }
 }
 
 TEST(Resilience, HealthyFleetIsBitIdenticalWithResilienceArmed) {
@@ -204,13 +224,7 @@ TEST(Resilience, FaultedRunsAreDeterministicAcrossThreadCounts) {
   const auto one = run_scenarios(batch, ghz(2.0), 1);
   const auto four = run_scenarios(batch, ghz(2.0), 4);
   ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_DOUBLE_EQ(one[i].p99.value(), four[i].p99.value());
-    EXPECT_EQ(one[i].completed_all, four[i].completed_all);
-    EXPECT_EQ(one[i].redispatched, four[i].redispatched);
-    EXPECT_EQ(one[i].hedged, four[i].hedged);
-    EXPECT_EQ(one[i].span_cycles, four[i].span_cycles);
-  }
+  for (std::size_t i = 0; i < one.size(); ++i) EXPECT_TRUE(one[i] == four[i]) << "run " << i;
 }
 
 // ---- Satellite: randomized accounting property test ----

@@ -487,23 +487,6 @@ TEST(OrchFleet, RouterLedgersTileTheRun) {
   EXPECT_TRUE(saw_peak);
 }
 
-bool identical(const dc::FleetResult& a, const dc::FleetResult& b) {
-  return a.energy.value() == b.energy.value() && a.p99.value() == b.p99.value() &&
-         a.p50.value() == b.p50.value() && a.span_cycles == b.span_cycles &&
-         a.completed == b.completed && a.admitted == b.admitted &&
-         a.autoscale_parks == b.autoscale_parks &&
-         a.autoscale_unparks == b.autoscale_unparks &&
-         a.parked_seconds.value() == b.parked_seconds.value() &&
-         a.wake_energy.value() == b.wake_energy.value() &&
-         a.cap_clamp_epochs == b.cap_clamp_epochs &&
-         a.cap_violation_epochs == b.cap_violation_epochs &&
-         a.peak_epoch_power.value() == b.peak_epoch_power.value() &&
-         a.router_epochs.size() == b.router_epochs.size() &&
-         a.group_dispatches == b.group_dispatches &&
-         a.brownout_shed == b.brownout_shed && a.brownout_epochs == b.brownout_epochs &&
-         a.breaker_trips == b.breaker_trips && a.emergency_wakes == b.emergency_wakes;
-}
-
 TEST(OrchFleet, OrchestratedRunsAreThreadCountInvariant) {
   // All orchestration happens at the epoch barrier inside each run's
   // single-threaded loop; NTSERV_THREADS only spreads *runs* over a pool.
@@ -516,7 +499,7 @@ TEST(OrchFleet, OrchestratedRunsAreThreadCountInvariant) {
   const auto four = dc::run_scenarios(scenarios, ghz(2.0), 4);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_TRUE(identical(one[i], four[i])) << "scenario " << scenarios[i].name;
+    EXPECT_TRUE(one[i] == four[i]) << "scenario " << scenarios[i].name;
   }
 }
 
