@@ -27,28 +27,25 @@
 // distribution, QoS bound and steering class, and FleetResult reports
 // per-tenant percentiles, shed rates and an energy attribution.
 //
-// Intra-run parallelism: between epoch barriers, the workers of one pool
-// claim chips one at a time and advance them. The data plane is
-// chip-local by construction — a chip's advance() touches only its own
-// clusters, slots and queue — and every completion is staged into a
-// per-chip buffer, then drained serially in ascending chip order, which
-// is exactly the order the serial loop produced. The control plane
-// (dispatch, timeouts, hedges, faults, and the epoch barrier where
-// governor/balancer/brownout/capper/autoscaler act) stays serial.
-// Results and telemetry are therefore bit-identical for ANY worker
-// count; sweep-level fan-out (dse::sweep_*, dc::run_scenarios) still
-// parallelizes across whole operating points one level up.
+// A run is three parts (dc/fleet.cpp), each reporting its next event:
+// the request ledger (every request from arrival to disposal: pending
+// copies, the retry/timeout/hedge queues, faults, the recovery point),
+// the data plane (pool workers claim chips one at a time and advance
+// them; each chip's completions are staged, then drained into the ledger
+// serially in ascending chip order, the serial loop's order), and the
+// control plane (the epoch barrier — governors, cap, router, autoscaler,
+// brownout, breakers, metrics — and the placement policy that reads the
+// state it leaves). Only the chip advance runs in parallel, so results
+// and telemetry are bit-identical for ANY worker count; sweep-level
+// fan-out (dse::sweep_*, dc::run_scenarios) parallelizes whole operating
+// points one level up.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "ctrl/admission.hpp"
 #include "ctrl/brownout.hpp"
@@ -56,7 +53,6 @@
 #include "ctrl/governor.hpp"
 #include "dc/arrival.hpp"
 #include "dc/chip.hpp"
-#include "dc/latency_stats.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "orch/orch.hpp"
@@ -136,9 +132,6 @@ struct ResilienceConfig {
   Second hedge_min_delay{100e-6};
   std::uint64_t hedge_warmup = 32;
 
-  [[nodiscard]] bool any() const {
-    return failover || hedging || timeout.value() > 0.0;
-  }
   void validate() const;
 };
 
@@ -347,42 +340,18 @@ struct FleetResult {
   std::vector<std::uint64_t> group_dispatches;   ///< admitted copies per group
   std::vector<Joule> group_energy;               ///< epoch energy per group
 
-  // ---- Feature presence ----
-  // Many fields above are only meaningful when the matching subsystem
-  // was enabled, and several vectors are empty otherwise. The flags
-  // record what the run actually engaged; drivers should branch on the
-  // has_*() accessors below instead of length-checking vectors inline.
-  bool governed = false;          ///< a DVFS governor closed epochs
-  bool brownout_enabled = false;  ///< the brownout ladder was attached
-  bool breakers_enabled = false;  ///< per-chip circuit breakers attached
-  bool autoscaled = false;        ///< the autoscaler was attached
-
-  /// Measured completions exist, so mean/p50/p95/p99/mean_wait are
-  /// measurements rather than zero-initialized placeholders.
-  [[nodiscard]] bool has_tail() const { return completed > 0; }
-  /// Governed run: `energy`, `avg_frequency_ghz` and the transition
-  /// counters are governor-accounted (open-loop runs leave them zero).
-  [[nodiscard]] bool has_energy() const { return governed; }
+  // ---- Optional columns ----
+  // Several vectors above are filled only when their subsystem ran; these
+  // accessors name which, so drivers need not know the sizing rules.
   /// The per-chip `epochs` trajectory is populated (governed run that
   /// closed at least one epoch).
   [[nodiscard]] bool has_epoch_trajectory() const { return !epochs.empty(); }
   /// `brownout_stage_epochs` carries the time-in-stage attribution
-  /// (sized ctrl::kBrownoutStages); empty when the ladder was off.
-  [[nodiscard]] bool has_brownout_ladder() const { return brownout_enabled; }
-  /// Breakers were attached, so `breaker_trips`/`breaker_open_epochs`
-  /// are observations (0 with breakers on means "never tripped").
-  [[nodiscard]] bool has_breakers() const { return breakers_enabled; }
+  /// (sized ctrl::kBrownoutStages only when the ladder ran).
+  [[nodiscard]] bool has_brownout_ladder() const { return !brownout_stage_epochs.empty(); }
   /// Multi-fleet routing ran: `group_names`, `group_dispatches`,
   /// `group_energy` and `router_epochs` are parallel per-group arrays.
   [[nodiscard]] bool has_routing() const { return !group_names.empty(); }
-  /// A fleet power cap was enforced (`fleet_cap` is the cap).
-  [[nodiscard]] bool has_power_cap() const { return fleet_cap.value() > 0.0; }
-  /// The autoscaler ran: park/unpark/drain counters and parked_seconds
-  /// are observations.
-  [[nodiscard]] bool has_autoscaler() const { return autoscaled; }
-  /// At least one fault event was delivered (first_fault, recovered and
-  /// time_to_recover describe the fault history).
-  [[nodiscard]] bool has_fault_history() const { return faults_injected > 0; }
 
   /// Structural equality over every field: the determinism contract is
   /// bit-identity, so doubles compare exactly.
@@ -412,119 +381,28 @@ class ClusterFleet {
     return config_.clusters_per_chip * config_.cluster.hierarchy.cores;
   }
 
-  /// Queued + in-service requests on chip `s`.
-  [[nodiscard]] int outstanding(int s) const;
-
   /// Drive arrivals until every offered request is completed or shed (or
-  /// max_cycles elapse). Deterministic — all randomness is seed-derived
-  /// at construction. Between epoch barriers, min(threads, servers())
-  /// workers claim and advance chips (threads <= 0 picks
-  /// sim::ThreadPool::default_threads()); completions are staged per
-  /// chip and drained in ascending chip order at each quantum, and the
-  /// control plane stays serial, so the result AND the telemetry stream
-  /// are bit-identical for any thread count. Single-shot: the run
-  /// consumes the arrival streams and tenant ledgers, so a second call
-  /// throws ModelError; dc::FleetRunner builds a fresh engine per run.
+  /// max_cycles elapse). Deterministic — all randomness derives from the
+  /// config seed — and bit-identical, result AND telemetry, for any
+  /// `threads` (workers advancing chips; <= 0 picks
+  /// sim::ThreadPool::default_threads()). Single-shot: the run consumes
+  /// the chips' state, so a second call throws ModelError;
+  /// dc::FleetRunner builds a fresh engine per run.
   ///
   /// `telemetry` (may be null) is wired at the start of the run; only its
   /// *enabled* components are attached, so a disabled TraceSink costs
   /// exactly one null-pointer test per emission site. The trace is merged
-  /// in canonical (time, chip, kind) order at each epoch barrier. Prefer
-  /// dc::FleetRunner, which passes dc::RunOptions through here.
+  /// in canonical (time, chip, kind) order at each epoch barrier.
   [[nodiscard]] FleetResult run(int threads = 1, obs::Telemetry* telemetry = nullptr);
 
  private:
-  /// Latency measurement over measured completions, kept by the fleet
-  /// and by each tenant.
-  struct LatencyLedger {
-    StreamingPercentiles percentiles;
-    RunningStats latency;
-    RunningStats wait;
-
-    void add(const Request& req) {
-      percentiles.add(req.latency_s());
-      latency.add(req.latency_s());
-      wait.add(req.wait_s());
-    }
-    /// Fill a FleetResult's or TenantResult's mean/p50/p95/p99/mean_wait
-    /// (left zero when nothing was measured).
-    template <class Result>
-    void fill(Result& result) const {
-      if (percentiles.count() == 0) return;
-      result.mean_latency = Second{latency.mean()};
-      result.p50 = Second{percentiles.p50()};
-      result.p95 = Second{percentiles.p95()};
-      result.p99 = Second{percentiles.p99()};
-      result.mean_wait = Second{wait.mean()};
-    }
-  };
-
-  /// One tenant's generators and its live slice of the run's result:
-  /// counters are written where they happen, derived fields at run end.
-  struct TenantState {
-    TenantSpec spec;
-    std::unique_ptr<ArrivalProcess> arrivals;
-    std::unique_ptr<ctrl::BudgetSampler> budgets;
-    double next_arrival_s = 0.0;
-    std::uint64_t total = 0;  ///< requests + warmup_requests
-    TenantResult result;
-    LatencyLedger latency;
-  };
-
-  /// A client waiting out its back-off before the next dispatch attempt.
-  struct RetryEntry {
-    double due_s;
-    Request request;
-    /// Min-heap on (due time, id): id breaks ties deterministically.
-    [[nodiscard]] bool operator>(const RetryEntry& o) const {
-      return due_s != o.due_s ? due_s > o.due_s : request.id > o.request.id;
-    }
-  };
-
-  /// Chip for the next dispatch attempt; -1 when failover is on and no
-  /// healthy chip exists (the caller parks the request until a recovery).
-  [[nodiscard]] int pick_server(const Request& req, double now_s);
-  /// Least-outstanding chip; with `healthy_only`, crashed chips are
-  /// excluded and -1 means none are up. `exclude` skips one chip index
-  /// (hedge placement: the duplicate must race a different chip);
-  /// `avoid_domain` deprioritizes chips in that failure domain (hedge
-  /// placement prefers a different domain, falling back inside it).
-  /// Breaker-open chips are similarly a last-resort tier, after draining.
-  [[nodiscard]] int least_loaded(bool healthy_only = false, int exclude = -1,
-                                 int avoid_domain = -1) const;
-  [[nodiscard]] bool any_core_busy() const;
-
   FleetConfig config_;
-  std::vector<TenantState> tenants_;
-  ctrl::AdmissionController admission_;
   /// Present only when governed (kind != kNone); every chip's governor
   /// holds a reference into its group's manager, so declaration order
   /// matters. One entry per router group (one total without routing).
   std::vector<std::unique_ptr<pm::PowerManager>> managers_;
   std::vector<std::unique_ptr<ChipServer>> chips_;
-  // Orchestration controllers (engaged only when the matching config is
-  // enabled); all act at the epoch barrier inside run().
-  std::optional<orch::Autoscaler> autoscaler_;
-  std::optional<orch::PowerCapper> capper_;
-  std::optional<orch::MultiFleetRouter> router_;
-  // Brownout ladder + per-chip circuit breakers (epoch-barrier driven).
-  std::optional<ctrl::BrownoutController> brownout_;
-  std::vector<ctrl::CircuitBreaker> breakers_;  ///< one per chip when enabled
-  /// Chip -> failure domain (-1 outside any domain): cross-domain hedge
-  /// placement and the emergency-wake trigger both consult it.
-  std::vector<int> chip_domain_;
-  std::priority_queue<RetryEntry, std::vector<RetryEntry>, std::greater<>> retries_;
-  // Observability (null when detached/disabled; wired by run()).
-  obs::TraceSink* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::PhaseTimers* timers_ = nullptr;
-  int round_robin_next_ = 0;
-  bool governed_ = false;
-  bool ran_ = false;  ///< run() consumes the arrival streams and tenant ledgers
-  std::uint64_t steered_ = 0;
-  // Epoch window the governor-aware peeks read (set during run()).
-  double epoch_start_s_ = 0.0;
-  double peek_window_s_ = 0.0;
+  bool ran_ = false;  ///< run() consumes the chips' state
 };
 
 /// Server energy over a fleet run's span: each chip runs at the
