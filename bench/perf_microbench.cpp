@@ -119,8 +119,8 @@ void BM_SweepParallel(benchmark::State& state) {
 BENCHMARK(BM_SweepParallel)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// The fork-join handoff alone: one empty fan-out of Arg indices on a
-/// 4-wide pool, back to back, as the fleet issues one per quantum. The
-/// reported time per iteration is the per-quantum handoff cost in us.
+/// 4-wide pool, back to back, as the fleet issues one per horizon. The
+/// reported time per iteration is the per-fan-out handoff cost in us.
 void BM_PoolHandoff(benchmark::State& state) {
   sim::ThreadPool pool{4};
   const auto n = static_cast<std::size_t>(state.range(0));

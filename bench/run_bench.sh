@@ -52,6 +52,11 @@ wakeup_mode="${NTSERV_WAKEUP_LIST:-1}"
 # per-benchmark counters, and the phase table prints to stderr after the
 # run. Set NTSERV_BENCH_PHASE_TIMERS=0 to switch it off.
 phase_timers="${NTSERV_BENCH_PHASE_TIMERS:-1}"
+# Name the host by CPU model and count: google-benchmark's own context
+# gives only a hostname and a MHz figure, and wall-clock numbers from
+# two archives compare only on the same kind of host.
+cpu_model="$(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2 | sed 's/^ *//' || true)"
+host="${cpu_model:-unknown CPU} x $(nproc 2>/dev/null || echo '?')"
 
 NTSERV_THREADS=1 NTSERV_BENCH_PHASE_TIMERS="${phase_timers}" "${bin}" \
   --benchmark_format=json \
@@ -60,6 +65,7 @@ NTSERV_THREADS=1 NTSERV_BENCH_PHASE_TIMERS="${phase_timers}" "${bin}" \
   --benchmark_context=git_sha="${git_sha}" \
   --benchmark_context=wakeup_list="${wakeup_mode}" \
   --benchmark_context=phase_timers="${phase_timers}" \
+  --benchmark_context=host="${host}" \
   --benchmark_out="${out}" \
   --benchmark_out_format=json
 

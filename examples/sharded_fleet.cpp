@@ -3,9 +3,10 @@
 //
 // The data plane (per-chip cycle advancement — the cache/DRAM/core
 // models, ~all of the wall clock at rack scale) is advanced in parallel
-// between epoch barriers, each worker claiming the next unadvanced chip;
-// the control plane (dispatch, admission, governors, brownout,
-// autoscaling, telemetry) stays serial at the barrier. The determinism
+// one horizon at a time (up to the next fleet event), each worker
+// claiming the next unadvanced chip; the control plane (dispatch,
+// admission, governors, brownout, autoscaling, telemetry) stays serial
+// between horizons. The determinism
 // contract: ANY thread count produces an equal FleetResult. This demo
 // runs a governed diurnal fleet serially and in parallel, checks
 // equality, and reports the speedup.

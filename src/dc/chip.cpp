@@ -173,8 +173,20 @@ void ChipServer::start_services(double now_s) {
   }
 }
 
-void ChipServer::advance(double now_s, double dt, Cycle quantum,
-                         std::vector<Request>& completed) {
+int ChipServer::advance_until(double now_s, double horizon_s, double dt, Cycle quantum,
+                              std::vector<StagedCompletion>& completed) {
+  int busy = 0;
+  for (double t = now_s; busy == 0 || t < horizon_s; t += dt) {
+    start_services(t);
+    if (busy_cores_ == 0) break;
+    if (!in_transition(t)) advance(t, dt, quantum, busy, completed);
+    ++busy;
+  }
+  return busy;
+}
+
+void ChipServer::advance(double now_s, double dt, Cycle quantum, int index,
+                         std::vector<StagedCompletion>& completed) {
   if (down_) return;             // crashed: no service, no active time
   if (busy_cores_ == 0) return;  // whole chip asleep (fleet-level event skip)
 
@@ -234,7 +246,7 @@ void ChipServer::advance(double now_s, double dt, Cycle quantum,
                 : 1.0;
         slot.request.completion_s = now_s + frac * served_dt;
         if (governor_ != nullptr) epoch_latencies_.push_back(slot.request.latency_s());
-        completed.push_back(slot.request);
+        completed.push_back({index, slot.request});
         if (!queue_.empty()) {
           // Back-to-back service: the next queued request starts at the
           // interpolated completion instant, and the instructions the

@@ -54,6 +54,13 @@ struct Request {
   [[nodiscard]] double wait_s() const { return start_s - arrival_s; }
 };
 
+/// A completion staged by ChipServer::advance_until, tagged with the index
+/// of the quantum (within that call) it fell in.
+struct StagedCompletion {
+  int quantum = 0;
+  Request request;
+};
+
 /// Construction parameters for one chip (the fleet stamps these out).
 struct ChipParams {
   sim::ClusterConfig cluster;   ///< per-cluster shape (core_clock overwritten)
@@ -162,7 +169,7 @@ class ChipServer {
   void apply_power_budget();
 
   // ---- Per-chip DVFS (one shared voltage domain) ----
-  /// Retune every cluster's clock; takes effect on the next advance().
+  /// Retune every cluster's clock; takes effect at the next quantum served.
   /// A degradation frequency cap clamps the applied clock; the requested
   /// value is remembered and re-applied when the cap lifts.
   void set_frequency(Hertz f);
@@ -183,13 +190,28 @@ class ChipServer {
   [[nodiscard]] double stall_until() const { return stall_until_s_; }
 
   // ---- Time ----
-  /// Advance one master quantum of `dt` wall seconds (= `quantum` cycles
-  /// of the fleet's base clock). The chip's clusters advance
-  /// quantum * f_chip / f_base cycles (fractional cycles carried across
-  /// quanta), so a descended chip serves proportionally fewer
-  /// instructions per quantum. Completed requests are appended to
-  /// `completed` in deterministic (cluster-major, slot-minor) order.
-  void advance(double now_s, double dt, Cycle quantum, std::vector<Request>& completed);
+  /// Serve through consecutive master quanta of `dt` wall seconds (=
+  /// `quantum` cycles of the fleet's base clock), starting at `now_s`:
+  /// quantum i starts at t_i, where t_0 = now_s and t_{i+1} = t_i + dt
+  /// (accumulated, as the fleet clock is). Quantum 0 always runs; later
+  /// quanta run while t_i < horizon_s, the next fleet event, before which
+  /// nothing outside the chip can change its state. Each quantum is the
+  /// fleet loop's per-chip step: start_services(t_i), then one quantum of
+  /// service unless the voltage domain is mid-transition. The call stops
+  /// early at the first quantum that finds no core busy: with no event
+  /// before the horizon, the chip would sleep through the rest.
+  ///
+  /// The chip's clusters advance quantum * f_chip / f_base cycles per
+  /// quantum (fractional cycles carried across quanta), so a descended
+  /// chip serves proportionally fewer instructions. Completions are
+  /// appended to `completed` tagged with their quantum index, in
+  /// quantum-major, cluster-major, slot-minor order. Returns the number of
+  /// quanta that found a core busy.
+  int advance_until(double now_s, double horizon_s, double dt, Cycle quantum,
+                    std::vector<StagedCompletion>& completed);
+  /// Fractional base-clock cycles owed to the next quantum (nonzero only
+  /// on a chip clocked off the fleet base frequency).
+  [[nodiscard]] double cycle_carry() const { return cycle_carry_; }
 
   // ---- Governor / epochs ----
   /// Attach this chip's governor instance (fleet-built; `manager` must
@@ -272,6 +294,11 @@ class ChipServer {
   [[nodiscard]] int core_of_slot(std::size_t slot) const {
     return static_cast<int>(slot) % cores_per_cluster_;
   }
+
+  /// One master quantum of service starting at `now_s` (advance_until's
+  /// step); completions are tagged with `index`.
+  void advance(double now_s, double dt, Cycle quantum, int index,
+               std::vector<StagedCompletion>& completed);
 
   std::vector<std::unique_ptr<sim::Cluster>> clusters_;
   std::vector<CoreSlot> slots_;       ///< cluster-major, core-minor

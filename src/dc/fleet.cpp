@@ -834,6 +834,13 @@ class RequestLedger {
   /// Some chip is crashed (and may strand its queue until it recovers).
   [[nodiscard]] bool chips_down() const { return chips_down_ > 0; }
   [[nodiscard]] double last_arrival_s() const { return last_arrival_s_; }
+  /// Until the next event, each chip's completions stay on that chip: no
+  /// request races two live copies (the winner would cancel its sibling
+  /// on another chip), and an arrival is still to come (so no completion
+  /// can be the run's last disposal).
+  [[nodiscard]] bool chips_independent() const {
+    return raced_ == 0 && next_arrival_tenant() < tenants_.size();
+  }
 
   /// The next arrival, back-off expiry, timeout, hedge or fault.
   [[nodiscard]] double next_event_s() const {
@@ -955,6 +962,7 @@ class RequestLedger {
                    "completion for a copy that is neither live nor dead " + context(now_s));
     PendingRequest& pr = it->second;
     for (const auto& other : pr.live) cancel_copy(other);
+    if (pr.live.size() > 1) --raced_;
     pr.live.clear();
     if (req.hedge) ++r_.hedge_wins;
     if (trace_ != nullptr) {
@@ -1037,6 +1045,7 @@ class RequestLedger {
   /// here, so the disposed count, damage drain and recovery point agree.
   void erase_pending(PendingMap::iterator it, double now_s) {
     if (it->second.damaged) --damaged_live_;
+    if (it->second.live.size() > 1) --raced_;
     pending_.erase(it);
     ++disposed_;
     note_recovery(now_s);
@@ -1053,8 +1062,15 @@ class RequestLedger {
                             [&](const LiveCopy& c) { return c.copy == copy; });
     if (lit == live.end()) return {pending_.end(), -1};
     const int server = lit->server;
+    if (live.size() == 2) --raced_;
     live.erase(lit);
     return {it, server};
+  }
+
+  /// Attach a live copy; a request's second copy makes it raced.
+  void add_live(PendingRequest& pr, LiveCopy copy) {
+    pr.live.push_back(copy);
+    if (pr.live.size() == 2) ++raced_;
   }
 
   /// Remove a cancelled copy from the fleet: dequeue it if it is still
@@ -1086,7 +1102,7 @@ class RequestLedger {
       trace_->emit(req.hedge ? obs::EventKind::kHedge : obs::EventKind::kDispatch, server,
                    event_s, req.tenant, static_cast<std::int64_t>(req.id));
     }
-    pr.live.push_back({req.copy, server});
+    add_live(pr, {req.copy, server});
     if (chip.down() || chip.degraded()) mark_damaged(pr);
     if (config_.resilience.timeout.value() > 0.0) {
       timeouts_.push(event_s + control_.timeout_for(critical), req.copy, req.id);
@@ -1250,7 +1266,7 @@ class RequestLedger {
       }
       victim.server = target;
       chips_[static_cast<std::size_t>(target)]->queue().push_back(victim);
-      pit->second.live.push_back({victim.copy, target});
+      add_live(pit->second, {victim.copy, target});
       ++r_.tenants[static_cast<std::size_t>(victim.tenant)].redispatched;
       if (trace_ != nullptr) {
         trace_->emit_now(obs::EventKind::kRedispatch, target, victim.tenant,
@@ -1283,28 +1299,38 @@ class RequestLedger {
   int chips_down_ = 0;
   std::set<int> degraded_chips_;
   std::uint64_t damaged_live_ = 0;  ///< pending requests touched by a fault
+  std::uint64_t raced_ = 0;         ///< pending requests with two or more live copies
   double first_fault_s_ = -1.0;
   double recovered_at_ = -1.0;
 };
 
-/// The chips' advance. The pool's workers claim chips one at a time;
-/// ChipServer::advance is chip-local (it never touches fleet or trace
-/// state), so the only cross-chip effect is the completion sink. Each
-/// chip stages its completions in cluster-major order, and the drain
-/// hands them to the ledger in ascending chip order after the quantum's
-/// barrier — the serial order. Which worker advanced which chip is
-/// unobservable, so every thread count (including 1, which runs the same
-/// staging path) produces bit-identical results and telemetry.
+/// The chips' advance, one horizon at a time. A horizon runs from the
+/// fleet clock to the next fleet event; until then no arrival, retry,
+/// timeout, hedge, fault or barrier can touch a chip, so each chip serves
+/// its whole horizon alone (ChipServer::advance_until) while the pool's
+/// workers claim chips one at a time. Each chip stages its completions
+/// tagged with their quantum, and the drain hands them to the ledger in
+/// (quantum, chip) order, stamped with the quantum's time: the order and
+/// times of a loop that advanced every chip one quantum at a time. Which
+/// worker advanced which chip is unobservable, so every thread count
+/// (including 1, which runs the same staging path) produces bit-identical
+/// results and telemetry.
 class DataPlane {
  public:
   DataPlane(Chips& chips, int threads, double dt, Cycle quantum, obs::TraceSink* trace,
             obs::PhaseTimers* timers)
-      : chips_(chips), staged_(chips.size()), dt_(dt), quantum_(quantum), timers_(timers) {
+      : chips_(chips),
+        staged_(chips.size()),
+        busy_quanta_(chips.size(), 0),
+        dt_(dt),
+        quantum_(quantum),
+        trace_(trace),
+        timers_(timers) {
     for (auto& chip : chips_) chip->set_trace(trace);
-    // One persistent pool per run (not per quantum): this thread and the
+    // One persistent pool per run (not per horizon): this thread and the
     // pool's helpers form the team, and the helpers spin briefly, then
-    // park, between quanta, so the per-quantum cost is one generation
-    // bump plus one pending-count barrier.
+    // park, between horizons, so each fan-out costs one generation bump
+    // plus one pending-count barrier.
     const int pool_threads = std::min(threads, static_cast<int>(chips_.size()));
     if (pool_threads > 1) pool_ = std::make_unique<sim::ThreadPool>(pool_threads);
   }
@@ -1328,15 +1354,16 @@ class DataPlane {
     return next;
   }
 
-  /// Advance every chip one quantum, then drain the staged completions
-  /// into the ledger in ascending chip order.
-  void advance(double now_s, RequestLedger& ledger) {
+  /// Advance every chip through the quanta from `now_s` up to `horizon_s`
+  /// (at least one) in one fan-out, drain the staged completions into the
+  /// ledger, and return the new fleet clock: the start of the first
+  /// quantum in which no chip was busy, or of the quantum after the
+  /// horizon.
+  double advance_until(double now_s, double horizon_s, RequestLedger& ledger) {
     {
       obs::PhaseTimers::Scope advance_scope(timers_, "fleet-advance");
       const auto advance_chip = [&](std::size_t s) {
-        auto& chip = *chips_[s];
-        if (chip.in_transition(now_s)) return;  // voltage domain mid-swing
-        chip.advance(now_s, dt_, quantum_, staged_[s]);
+        busy_quanta_[s] = chips_[s]->advance_until(now_s, horizon_s, dt_, quantum_, staged_[s]);
       };
       if (pool_ == nullptr) {
         for (std::size_t s = 0; s < chips_.size(); ++s) advance_chip(s);
@@ -1345,18 +1372,30 @@ class DataPlane {
       }
     }
     obs::PhaseTimers::Scope drain_scope(timers_, "fleet-drain");
-    for (auto& buf : staged_) {
-      for (const Request& req : buf) ledger.complete(req, now_s);
-      buf.clear();
+    const int quanta = *std::max_element(busy_quanta_.begin(), busy_quanta_.end());
+    std::vector<std::size_t> next(chips_.size(), 0);
+    double t = now_s;
+    for (int q = 0; q < quanta; ++q, t += dt_) {
+      if (trace_ != nullptr) trace_->set_now(t);
+      for (std::size_t s = 0; s < chips_.size(); ++s) {
+        const auto& buf = staged_[s];
+        for (; next[s] < buf.size() && buf[next[s]].quantum == q; ++next[s]) {
+          ledger.complete(buf[next[s]].request, t);
+        }
+      }
     }
+    for (auto& buf : staged_) buf.clear();
+    return t;
   }
 
  private:
   Chips& chips_;
-  std::vector<std::vector<Request>> staged_;
+  std::vector<std::vector<StagedCompletion>> staged_;
+  std::vector<int> busy_quanta_;  ///< per chip, for the horizon in flight
   std::unique_ptr<sim::ThreadPool> pool_;
   const double dt_;
   const Cycle quantum_;
+  obs::TraceSink* trace_;
   obs::PhaseTimers* timers_;
 };
 
@@ -1405,8 +1444,15 @@ FleetResult ClusterFleet::run(int threads, obs::Telemetry* telemetry) {
     ledger.fire_hedges(now_s);
     data.start_services(now_s);
     if (!data.idle()) {
-      data.advance(now_s, ledger);
-      now_s += dt;
+      // Serve up to the next fleet event in one step. While some request
+      // races two live copies, or the last arrival is in, one completion
+      // can reach another chip or end the run, so the step is one quantum.
+      const double horizon =
+          ledger.chips_independent()
+              ? std::min({ledger.next_event_s(), data.next_event_s(now_s),
+                          control.next_event_s(), max_s})
+              : now_s;
+      now_s = data.advance_until(now_s, horizon, ledger);
       continue;
     }
     // Whole fleet idle: every chip would sleep, so jump straight to the

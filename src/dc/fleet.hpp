@@ -31,8 +31,9 @@
 // the request ledger (every request from arrival to disposal: pending
 // copies, the retry/timeout/hedge queues, faults, the recovery point),
 // the data plane (pool workers claim chips one at a time and advance
-// them; each chip's completions are staged, then drained into the ledger
-// serially in ascending chip order, the serial loop's order), and the
+// each to the next fleet event; each chip's completions are staged with
+// their quantum, then drained into the ledger serially in (quantum,
+// chip) order, the order of a one-quantum-at-a-time loop), and the
 // control plane (the epoch barrier — governors, cap, router, autoscaler,
 // brownout, breakers, metrics — and the placement policy that reads the
 // state it leaves). Only the chip advance runs in parallel, so results

@@ -2,14 +2,14 @@
 //
 // DSE sweeps evaluate many independent, deterministically-seeded
 // simulations (one fresh cluster per operating point), and the fleet
-// advances its chips once per simulated quantum; both write only their own
-// result slot per index. A pool of width w is the calling thread plus
-// w - 1 helper threads, and its one fan-out primitive is run_indexed: the
-// caller publishes the job by bumping a generation counter, claims indices
-// next to the helpers, then waits for the helpers to check back in. Both
-// sides of that handoff spin for a few microseconds before parking on the
-// atomic, so back-to-back fan-outs can skip the futex round trip, while
-// an idle pool still sleeps.
+// advances its chips once per horizon (up to the next fleet event); both
+// write only their own result slot per index. A pool of width w is the
+// calling thread plus w - 1 helper threads, and its one fan-out primitive
+// is run_indexed: the caller publishes the job by bumping a generation
+// counter, claims indices next to the helpers, then waits for the helpers
+// to check back in. Both sides of that handoff spin for a few
+// microseconds before parking on the atomic, so back-to-back fan-outs can
+// skip the futex round trip, while an idle pool still sleeps.
 //
 // The default width comes from the NTSERV_THREADS environment variable,
 // falling back to the hardware concurrency.
@@ -111,10 +111,9 @@ class ThreadPool {
 
   /// Pause iterations a waiter spins before parking on the atomic: about
   /// 5 us on a 2.1 GHz Xeon. That covers the serial work between two
-  /// fleet quanta (2-4 us on average on a 32-chip fleet), so a helper
-  /// that finishes with the others catches the next fan-out without a
-  /// futex round trip, while a pool left idle any longer stops burning
-  /// CPU.
+  /// fleet horizons when it is short, so a helper that finishes with the
+  /// others can catch the next fan-out without a futex round trip, while
+  /// a pool left idle any longer stops burning CPU.
   static constexpr int kSpinPauses = 300;
 
   static void cpu_relax() {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "dc/fleet.hpp"
 #include "dc/runner.hpp"
 #include "dc/scenario.hpp"
@@ -64,6 +68,163 @@ Scenario tiny_consolidated() {
   batch.warmup_requests = 8;
   s.tenants = {critical, batch};
   return s;
+}
+
+// ---- ChipServer::advance_until: one horizon == its quanta one by one ----
+
+constexpr Cycle kQuantum = 64;
+constexpr double kDt = static_cast<double>(kQuantum) / 2e9;  // base clock 2 GHz
+
+/// A warmed two-cluster chip (eight core slots) with `requests` queued
+/// requests of varied budgets.
+std::unique_ptr<ChipServer> loaded_chip(int requests) {
+  ChipParams params;
+  params.clusters = 2;
+  params.profile = workload::WorkloadProfile::web_search();
+  params.frequency = ghz(2.0);
+  params.warm_instructions = 60'000;
+  params.fleet_seed = 7;
+  auto chip = std::make_unique<ChipServer>(params);
+  for (int i = 0; i < requests; ++i) {
+    chip->queue().push_back(Request{.id = static_cast<std::uint64_t>(i),
+                                    .budget = 1'500 + 700 * static_cast<std::uint64_t>(i % 5)});
+  }
+  return chip;
+}
+
+/// Everything a span of quanta leaves behind on a chip.
+struct SpanOutcome {
+  std::vector<StagedCompletion> completions;  ///< tags are absolute quantum indices
+  int busy_quanta = 0;
+  double end_s = 0.0;
+};
+
+/// The start of quantum `n` counted from `now_s`, accumulated as the
+/// fleet clock is.
+double quantum_start(double now_s, int n) {
+  for (int i = 0; i < n; ++i) now_s += kDt;
+  return now_s;
+}
+
+SpanOutcome one_horizon(ChipServer& chip, double now_s, int quanta) {
+  SpanOutcome out;
+  out.busy_quanta =
+      chip.advance_until(now_s, quantum_start(now_s, quanta), kDt, kQuantum, out.completions);
+  out.end_s = quantum_start(now_s, out.busy_quanta);
+  return out;
+}
+
+SpanOutcome quantum_by_quantum(ChipServer& chip, double now_s, int quanta) {
+  SpanOutcome out;
+  bool awake = true;
+  double t = now_s;
+  for (int i = 0; i < quanta; ++i, t += kDt) {
+    std::vector<StagedCompletion> step;
+    // A horizon at or before now_s is a single quantum.
+    const int busy = chip.advance_until(t, t, kDt, kQuantum, step);
+    EXPECT_LE(busy, 1);
+    for (StagedCompletion& c : step) {
+      EXPECT_EQ(c.quantum, 0);
+      c.quantum = i;
+      out.completions.push_back(c);
+    }
+    awake = awake && busy == 1;
+    if (awake) {
+      ++out.busy_quanta;
+      out.end_s = t + kDt;
+    }
+  }
+  if (out.busy_quanta == 0) out.end_s = now_s;
+  return out;
+}
+
+void expect_same_chip_state(const ChipServer& a, const ChipServer& b) {
+  EXPECT_EQ(a.active_seconds(), b.active_seconds());
+  EXPECT_EQ(a.busy_core_seconds(), b.busy_core_seconds());
+  EXPECT_EQ(a.tenant_busy_seconds(0), b.tenant_busy_seconds(0));
+  EXPECT_EQ(a.cycle_carry(), b.cycle_carry());
+  EXPECT_EQ(a.busy_cores(), b.busy_cores());
+  EXPECT_EQ(a.outstanding(), b.outstanding());
+}
+
+void expect_same_span(const SpanOutcome& horizon, const SpanOutcome& stepped) {
+  EXPECT_EQ(horizon.busy_quanta, stepped.busy_quanta);
+  EXPECT_EQ(horizon.end_s, stepped.end_s);
+  ASSERT_EQ(horizon.completions.size(), stepped.completions.size());
+  for (std::size_t i = 0; i < horizon.completions.size(); ++i) {
+    const StagedCompletion& h = horizon.completions[i];
+    const StagedCompletion& s = stepped.completions[i];
+    SCOPED_TRACE("completion " + std::to_string(i));
+    EXPECT_EQ(h.quantum, s.quantum);
+    EXPECT_EQ(h.request.id, s.request.id);
+    EXPECT_EQ(h.request.core, s.request.core);
+    EXPECT_EQ(h.request.start_s, s.request.start_s);
+    EXPECT_EQ(h.request.completion_s, s.request.completion_s);
+  }
+}
+
+/// Run the same span both ways on two identically built chips, after
+/// `prepare` put both into the same state.
+template <class Prepare>
+void expect_horizon_matches_quanta(int requests, double now_s, int quanta, Prepare prepare) {
+  auto a = loaded_chip(requests);
+  auto b = loaded_chip(requests);
+  prepare(*a);
+  prepare(*b);
+  const SpanOutcome horizon = one_horizon(*a, now_s, quanta);
+  const SpanOutcome stepped = quantum_by_quantum(*b, now_s, quanta);
+  EXPECT_FALSE(horizon.completions.empty()) << "the span must complete some requests";
+  expect_same_span(horizon, stepped);
+  expect_same_chip_state(*a, *b);
+}
+
+TEST(ChipHorizon, MatchesQuantumByQuantumAtTheBaseClock) {
+  // More requests than core slots: back-to-back service and fresh
+  // start_services both happen inside the horizon.
+  expect_horizon_matches_quanta(14, 0.0, 120, [](ChipServer&) {});
+}
+
+TEST(ChipHorizon, MatchesQuantumByQuantumOnADescendedChip) {
+  // 1.3 GHz against the 2 GHz master clock: 41.6 cycles per quantum, so
+  // the fractional carry moves every quantum.
+  expect_horizon_matches_quanta(14, 0.0, 160, [](ChipServer& chip) {
+    chip.set_frequency(ghz(1.3));
+  });
+  auto chip = loaded_chip(4);
+  chip->set_frequency(ghz(1.3));
+  one_horizon(*chip, 0.0, 3);
+  EXPECT_GT(chip->cycle_carry(), 0.0);
+}
+
+TEST(ChipHorizon, MatchesQuantumByQuantumThroughATransitionWithBusyCores) {
+  // Serve a few quanta, then begin a 3.5-quantum transition stall with
+  // every core busy and work queued: the horizon must hold service
+  // through the stall and resume at the first quantum past it.
+  const double stall_at = quantum_start(0.0, 5);
+  expect_horizon_matches_quanta(14, stall_at, 120, [&](ChipServer& chip) {
+    std::vector<StagedCompletion> sink;
+    chip.advance_until(0.0, stall_at, kDt, kQuantum, sink);
+    ASSERT_GT(chip.busy_cores(), 0);
+    ASSERT_FALSE(chip.queue().empty());
+    chip.set_frequency(ghz(1.6));
+    chip.begin_stall(stall_at, Second{3.5 * kDt});
+  });
+}
+
+TEST(ChipHorizon, StopsAtTheFirstQuantumWithNoBusyCore) {
+  // Two short requests on a chip given a long horizon: the call returns
+  // once both complete, and the busy count says where.
+  auto chip = loaded_chip(2);
+  std::vector<StagedCompletion> done;
+  const int busy = chip->advance_until(0.0, quantum_start(0.0, 10'000), kDt, kQuantum, done);
+  EXPECT_EQ(done.size(), 2u);
+  EXPECT_GT(busy, 0);
+  EXPECT_LT(busy, 10'000);
+  EXPECT_EQ(chip->busy_cores(), 0);
+  EXPECT_EQ(done.back().quantum, busy - 1) << "the last busy quantum holds the last completion";
+  // An idle chip serves nothing, however long the horizon.
+  EXPECT_EQ(chip->advance_until(1.0, 2.0, kDt, kQuantum, done), 0);
+  EXPECT_EQ(done.size(), 2u);
 }
 
 TEST(Chip, MultiClusterChipUsesAllItsClusters) {
