@@ -1,12 +1,17 @@
 // Tests for the performance kernel: event-skipping equivalence against
-// the cycle-by-cycle path, and thread-count-independent sweep results.
+// the cycle-by-cycle path, stored goldens of the paper path, and
+// thread-count-independent sweep results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,6 +171,221 @@ TEST(WakeupList, CalendarFeedsSkipKernelAndStaysMetricIdentical) {
   wakeup.run(150'000);
   EXPECT_GT(wakeup.skipped_cycles(), 0u);
   expect_identical_metrics(polled, wakeup);
+}
+
+// ---------------------------------------------------------------------------
+// Paper-path stored goldens. The tests above compare the kernel with
+// itself (ticked vs skipping, polled vs wakeup), which cannot tell a wrong
+// cycle model from a right one when every path shares the same fault.
+// These pin the numbers of the paper's path (sim::Cluster and
+// ServerSimulator::sweep) as recorded constants, so a change to the cycle
+// model's data structures is checked against recorded results. A failure
+// prints the run's row in the table's own syntax; re-record only for a
+// deliberate model change.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Canonical text of a result: one `name=value` line per field, doubles
+/// as exact hexfloats.
+class Dump {
+ public:
+  void operator()(const char* name, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    line(name, buf);
+  }
+  void operator()(const char* name, std::uint64_t v) { line(name, std::to_string(v)); }
+  void operator()(const char* name, int v) { line(name, std::to_string(v)); }
+  void operator()(const char* name, bool v) { line(name, v ? "1" : "0"); }
+  template <class Tag>
+  void operator()(const char* name, Quantity<Tag> q) {
+    (*this)(name, q.value());
+  }
+
+  [[nodiscard]] std::uint64_t fnv() const { return fnv1a(os_); }
+
+ private:
+  void line(const char* name, const std::string& value) {
+    os_ += name;
+    os_ += '=';
+    os_ += value;
+    os_ += '\n';
+  }
+  std::string os_;
+};
+
+void dump(Dump& d, const sim::ClusterMetrics& m) {
+  d("cycles", m.cycles);
+  d("uipc", m.uipc);
+  d("ipc", m.ipc);
+  d("issue_utilization", m.issue_utilization);
+  d("l1i_hits", m.memory.l1i_hits);
+  d("l1i_misses", m.memory.l1i_misses);
+  d("l1d_hits", m.memory.l1d_hits);
+  d("l1d_misses", m.memory.l1d_misses);
+  d("merged_misses", m.memory.merged_misses);
+  d("llc_hits", m.memory.llc_hits);
+  d("llc_misses", m.memory.llc_misses);
+  d("llc_writebacks", m.memory.llc_writebacks);
+  d("l1_writebacks", m.memory.l1_writebacks);
+  d("back_invalidations", m.memory.back_invalidations);
+  d("owner_forwards", m.memory.owner_forwards);
+  d("xbar_flits", m.memory.xbar_flits);
+  d("rejected", m.memory.rejected);
+  d("prefetches_issued", m.memory.prefetches_issued);
+  d("dram.reads", m.dram.reads);
+  d("dram.writes", m.dram.writes);
+  d("dram.read_bytes", m.dram.read_bytes);
+  d("dram.write_bytes", m.dram.write_bytes);
+  d("dram.row_hit_rate", m.dram.row_hit_rate);
+  d("dram.avg_read_latency_cycles", m.dram.avg_read_latency_cycles);
+  d("dram.refreshes", m.dram.refreshes);
+  d("dram.forwarded_reads", m.dram.forwarded_reads);
+  d("dram_cycles", m.dram_cycles);
+  d("l1i_mpki", m.l1i_mpki);
+  d("l1d_mpki", m.l1d_mpki);
+  d("llc_mpki", m.llc_mpki);
+  d("branch_mpki", m.branch_mpki);
+}
+
+void dump(Dump& d, const cpu::CoreStats& s) {
+  d("core.cycles", s.cycles);
+  d("core.committed_total", s.committed_total);
+  d("core.committed_user", s.committed_user);
+  d("core.branches", s.branches);
+  d("core.branch_mispredicts", s.branch_mispredicts);
+  d("core.loads", s.loads);
+  d("core.stores", s.stores);
+  d("core.load_forwards", s.load_forwards);
+  d("core.fetch_stall_cycles", s.fetch_stall_cycles);
+  d("core.rob_full_cycles", s.rob_full_cycles);
+  d("core.issued", s.issued);
+}
+
+struct ClusterGolden {
+  double ghz;
+  std::uint64_t committed;
+  std::uint64_t llc_misses;
+  std::uint64_t load_forwards;  ///< summed over cores
+  std::uint64_t digest;         ///< ClusterMetrics + every core's CoreStats
+};
+
+/// Data Serving on one cluster with event skipping: 120k cycles, a stats
+/// reset, then a 50k-cycle window (the SMARTS sampler's shape). Recorded
+/// from the deque-ROB / array-of-structs tag store model; both issue
+/// schedulers must reproduce the same row.
+constexpr ClusterGolden kClusterGoldens[] = {
+    {0.20000000000000001, 911903, 6360, 46, 0x42f9befaaff69e95ull},
+    {2, 131041, 2473, 23, 0x346bd1e835d9017dull},
+};
+
+ClusterGolden measure_cluster(double f_ghz, bool wakeup_list) {
+  sim::Cluster cl{cluster_config(true, ghz(f_ghz), wakeup_list),
+                  sources_for(workload::WorkloadProfile::data_serving(), 4242)};
+  cl.run(120'000);
+  cl.reset_stats();
+  cl.run(50'000);
+  Dump d;
+  d("now", cl.now());
+  d("total_committed", cl.total_committed());
+  const auto m = cl.metrics();
+  dump(d, m);
+  std::uint64_t forwards = 0;
+  for (int c = 0; c < cl.cores(); ++c) {
+    dump(d, cl.core(c).stats());
+    forwards += cl.core(c).stats().load_forwards;
+  }
+  return {f_ghz, cl.total_committed(), m.memory.llc_misses, forwards, d.fnv()};
+}
+
+std::string row(const ClusterGolden& g) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "    {%.17g, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64 "ull},", g.ghz,
+                g.committed, g.llc_misses, g.load_forwards, g.digest);
+  return buf;
+}
+
+TEST(PaperGolden, DataServingClusterUnderBothSchedulers) {
+  for (const double f : {0.2, 2.0}) {
+    const auto it = std::find_if(std::begin(kClusterGoldens), std::end(kClusterGoldens),
+                                 [&](const ClusterGolden& g) { return g.ghz == f; });
+    for (const bool wakeup : {false, true}) {
+      const ClusterGolden got = measure_cluster(f, wakeup);
+      if (it == std::end(kClusterGoldens)) {
+        ADD_FAILURE() << "no golden row for " << f << " GHz; this run's row:\n" << row(got);
+        break;
+      }
+      EXPECT_EQ(got.committed, it->committed) << f << " GHz wakeup=" << wakeup;
+      EXPECT_EQ(got.llc_misses, it->llc_misses) << f << " GHz wakeup=" << wakeup;
+      EXPECT_EQ(got.load_forwards, it->load_forwards) << f << " GHz wakeup=" << wakeup;
+      EXPECT_EQ(got.digest, it->digest)
+          << f << " GHz wakeup=" << wakeup << " moved; this run's row:\n" << row(got);
+    }
+  }
+}
+
+/// FNV-1a of every OperatingPointResult field of a trimmed Data Serving
+/// sweep (4 points over 0.2-2.0 GHz, 2-3 SMARTS samples each), recorded
+/// like kClusterGoldens.
+constexpr std::uint64_t kSweepDigest = 0x6b3dd1b137b88b81ull;
+
+TEST(PaperGolden, TrimmedServerSweepDigest) {
+  power::ServerPowerModel platform{
+      tech::TechnologyModel{tech::TechnologyParams::fdsoi28()}, power::ChipConfig{}};
+  sim::ServerSimConfig cfg;
+  cfg.smarts.warm_instructions = 100'000;
+  cfg.smarts.warmup = 5'000;
+  cfg.smarts.measure = 10'000;
+  cfg.smarts.min_samples = 2;
+  cfg.smarts.max_samples = 3;
+  sim::ServerSimulator simulator{workload::WorkloadProfile::data_serving(), platform, cfg};
+  const auto points = simulator.sweep(sim::frequency_grid(ghz(0.2), ghz(2.0), 4), 2);
+  Dump d;
+  for (const auto& p : points) {
+    d("frequency", p.frequency);
+    d("vdd", p.vdd);
+    d("uips", p.uips);
+    d("uipc_cluster", p.uipc_cluster);
+    d("core_activity", p.activity.core_activity);
+    d("llc_reads_per_s", p.activity.llc_reads_per_s);
+    d("llc_writes_per_s", p.activity.llc_writes_per_s);
+    d("llc_probes_per_s", p.activity.llc_probes_per_s);
+    d("xbar_flits_per_s", p.activity.xbar_flits_per_s);
+    d("dram_read_bw", p.activity.dram_read_bw);
+    d("dram_write_bw", p.activity.dram_write_bw);
+    d("core_dynamic", p.power.core_dynamic);
+    d("core_leakage", p.power.core_leakage);
+    d("llc", p.power.llc);
+    d("interconnect", p.power.interconnect);
+    d("io", p.power.io);
+    d("dram_background", p.power.dram_background);
+    d("dram_dynamic", p.power.dram_dynamic);
+    d("eff_cores", p.eff_cores);
+    d("eff_soc", p.eff_soc);
+    d("eff_server", p.eff_server);
+    d("uipc_mean", p.sampling.uipc_mean);
+    d("uipc_rel_error", p.sampling.uipc_rel_error);
+    d("samples", p.sampling.samples);
+    d("converged", p.sampling.converged);
+    d("per_sample.count", p.sampling.per_sample.count());
+    d("per_sample.mean", p.sampling.per_sample.mean());
+    d("per_sample.min", p.sampling.per_sample.min());
+    d("per_sample.max", p.sampling.per_sample.max());
+    d("per_sample.variance", p.sampling.per_sample.variance());
+    dump(d, p.sampling.last_window);
+    dump(d, p.window);
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64 "ull", d.fnv());
+  EXPECT_EQ(d.fnv(), kSweepDigest) << "sweep digest moved; this run's digest: " << buf;
 }
 
 TEST(SweepDeterminism, SameResultsForOneAndManyThreads) {
