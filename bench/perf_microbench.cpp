@@ -55,6 +55,36 @@ void BM_CacheArrayProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheArrayProbe);
 
+/// The same traffic spread over 32 paper-geometry LLC tag stores, one per
+/// cluster of the 32-chip scale-out fleet: the host working set is every
+/// store's tag array, so this measures the tag store's memory layout, not
+/// one array that stays in the host's caches.
+void BM_CacheArrayProbeFleet(benchmark::State& state) {
+  constexpr std::size_t kArrays = 32;
+  std::vector<cache::CacheArray> llcs;
+  llcs.reserve(kArrays);
+  for (std::size_t i = 0; i < kArrays; ++i) {
+    llcs.emplace_back(cache::CacheArrayParams{4 * kMiB, 16, cache::ReplacementPolicy::kLru,
+                                              7 + i, true});
+  }
+  Xoshiro256StarStar rng{7};
+  for (auto& llc : llcs) {
+    for (int i = 0; i < 100000; ++i) {
+      const Addr a = rng.uniform_below(1ull << 24) & ~63ull;
+      if (!llc.probe(a)) llc.insert(a, false);
+    }
+  }
+  for (auto _ : state) {
+    auto& llc = llcs[rng.uniform_below(kArrays)];
+    const Addr a = rng.uniform_below(1ull << 24) & ~63ull;
+    auto ref = llc.probe(a);
+    if (!ref) benchmark::DoNotOptimize(llc.insert(a, false));
+    benchmark::DoNotOptimize(ref);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CacheArrayProbeFleet);
+
 void BM_ClusterCycle(benchmark::State& state) {
   sim::ClusterConfig cc;
   cc.core_clock = ghz(2.0);

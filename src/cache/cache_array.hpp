@@ -4,6 +4,14 @@
 // The array tracks validity, dirtiness, replacement state and an opaque
 // 32-bit `meta` word per line that the LLC uses for its MESI directory
 // entry (sharer bitmask / owner / state).
+//
+// Layout: flat per-line arrays, so a probe reads only its set's tags
+// (16 x 8 B = two host cache lines for the LLC). An empty way holds the
+// kInvalidTag sentinel instead of a valid flag. Recency stamps are 16-bit
+// and come from a per-set clock: victim choice only compares stamps within
+// one set, so when a set's clock runs out its valid ways are renumbered
+// 1..k in the same order and the clock restarts at k. 15 B per line plus
+// 2 B per set (tests/test_cache_array.cpp pins the budget).
 #pragma once
 
 #include <cstdint>
@@ -62,6 +70,7 @@ class CacheArray {
   std::optional<Eviction> invalidate(Addr line_addr);
 
   // Per-line state accessors (ref must come from a current probe/insert).
+  [[nodiscard]] bool valid(WayRef ref) const { return tags_[index(ref)] != kInvalidTag; }
   [[nodiscard]] bool is_dirty(WayRef ref) const;
   void set_dirty(WayRef ref, bool dirty);
   [[nodiscard]] std::uint32_t meta(WayRef ref) const;
@@ -71,23 +80,36 @@ class CacheArray {
   /// Number of valid lines (for inclusivity/occupancy checks in tests).
   [[nodiscard]] std::size_t valid_count() const;
 
+  /// Host bytes held by the tag store's per-line and per-set arrays.
+  [[nodiscard]] std::size_t footprint_bytes() const;
+
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    Addr tag = 0;  ///< full line address (simpler and equivalent to tag)
-    std::uint64_t lru_stamp = 0;
-    std::uint8_t rrpv = 3;  ///< SRRIP re-reference prediction value
-    std::uint32_t meta = 0;
-  };
+  /// Tag of an empty way: line bases are line-aligned, so never equal.
+  static constexpr Addr kInvalidTag = ~Addr{0};
+  /// state_ byte: SRRIP re-reference prediction value (0..3) in the low
+  /// bits, the dirty flag above it.
+  static constexpr std::uint8_t kRrpvMask = 0x3;
+  static constexpr std::uint8_t kDirtyBit = 0x4;
+  static constexpr std::uint8_t kEmptyState = 3;  ///< rrpv 3, clean
 
   [[nodiscard]] std::size_t set_index(Addr line_addr) const;
+  [[nodiscard]] std::size_t index(WayRef ref) const {
+    return ref.set * ways_ + static_cast<std::size_t>(ref.way);
+  }
+  /// Next recency stamp of `set`, renumbering the set first when its
+  /// clock has run out.
+  std::uint16_t next_stamp(std::size_t set);
   int pick_victim(std::size_t set);
 
   CacheArrayParams params_;
   std::size_t sets_;
-  std::vector<Line> lines_;  ///< sets_ x associativity, row-major
-  std::uint64_t tick_ = 0;   ///< LRU timestamp source
+  std::size_t ways_;
+  // Per-line arrays, sets_ x ways_, row-major.
+  std::vector<Addr> tags_;             ///< line base address or kInvalidTag
+  std::vector<std::uint32_t> meta_;
+  std::vector<std::uint16_t> stamps_;  ///< recency order within the set
+  std::vector<std::uint8_t> state_;    ///< rrpv | dirty
+  std::vector<std::uint16_t> clocks_;  ///< per-set stamp source
   Xoshiro256StarStar rng_;
 };
 

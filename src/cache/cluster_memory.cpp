@@ -471,17 +471,13 @@ void ClusterMemorySystem::check_coherence_invariants() const {
   // sharer bit and no dirty copies elsewhere. Inclusivity: every valid L1
   // line must be present in the LLC.
   for (int c = 0; c < params_.cores; ++c) {
-    auto& l1d = const_cast<CacheArray&>(l1d_[static_cast<std::size_t>(c)]);
+    const CacheArray& l1d = l1d_[static_cast<std::size_t>(c)];
     auto& llc = const_cast<CacheArray&>(llc_);
     for (std::size_t set = 0; set < l1d.num_sets(); ++set) {
       for (int way = 0; way < l1d.params().associativity; ++way) {
-        CacheArray::WayRef ref{set, way};
-        // Walk via probe of the stored address: skip empty ways.
-        const Addr a = l1d.line_addr_of(ref);
-        if (a == 0 && !l1d.probe(0, false)) continue;
-        auto self = l1d.probe(a, false);
-        if (!self || self->set != set || self->way != way) continue;
-        auto lref = llc.probe(a, false);
+        const CacheArray::WayRef ref{set, way};
+        if (!l1d.valid(ref)) continue;
+        auto lref = llc.probe(l1d.line_addr_of(ref), false);
         NTSERV_ENSURES(lref.has_value(), "inclusivity violated: L1 line absent from LLC");
         const DirEntry dir = unpack(llc.meta(*lref));
         NTSERV_ENSURES((dir.sharers >> c) & 1u, "directory lost track of a sharer");

@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <string_view>
 
@@ -13,10 +14,9 @@ constexpr std::uint64_t kTagIFetch = 1ull << 63;
 constexpr std::uint64_t kTagStore = 1ull << 62;
 constexpr std::uint64_t kTagMask = kTagIFetch | kTagStore;
 
-/// Heap orders for the wakeup-list scheduler (std::*_heap build max-heaps,
-/// so both comparators are inverted to get minimums at the front).
+/// Wake-calendar order (std::*_heap builds max-heaps, so the comparator
+/// is inverted to get the minimum at the front).
 constexpr auto wake_later = [](const auto& a, const auto& b) { return a.at > b.at; };
-constexpr auto seq_greater = [](std::uint64_t a, std::uint64_t b) { return a > b; };
 }  // namespace
 
 bool default_wakeup_list() {
@@ -44,6 +44,16 @@ OooCore::OooCore(CoreParams params, CoreId id, cache::ClusterMemorySystem& memor
   fu_load_.assign(static_cast<std::size_t>(params_.fu_load), 0);
   fu_store_.assign(static_cast<std::size_t>(params_.fu_store), 0);
   fu_branch_.assign(static_cast<std::size_t>(params_.fu_branch), 0);
+  // At least one 64-slot word, so the ready bitmap has whole words.
+  const std::uint64_t rob_slots =
+      std::bit_ceil(std::max<std::uint64_t>(static_cast<std::uint64_t>(params_.rob_entries), 64));
+  rob_.resize(static_cast<std::size_t>(rob_slots));
+  rob_mask_ = rob_slots - 1;
+  ready_bits_.assign(static_cast<std::size_t>(rob_slots / 64), 0);
+  const std::uint64_t store_slots =
+      std::bit_ceil(std::max<std::uint64_t>(static_cast<std::uint64_t>(params_.store_queue), 1));
+  store_seqs_.resize(static_cast<std::size_t>(store_slots));
+  store_mask_ = store_slots - 1;
 }
 
 void OooCore::reset_stats() {
@@ -52,14 +62,11 @@ void OooCore::reset_stats() {
 }
 
 OooCore::RobEntry* OooCore::find_producer(std::uint64_t seq, std::uint16_t dist) {
-  if (dist == 0 || rob_.empty()) return nullptr;
-  if (seq < dist) return nullptr;
+  if (dist == 0 || seq < dist) return nullptr;
   const std::uint64_t prod_seq = seq - dist;
-  const std::uint64_t head_seq = rob_.front().seq;
-  if (prod_seq < head_seq) return nullptr;  // already committed: ready
-  const std::uint64_t idx = prod_seq - head_seq;
-  if (idx >= rob_.size()) return nullptr;
-  return &rob_[static_cast<std::size_t>(idx)];
+  if (prod_seq < head_seq_) return nullptr;  // already committed: ready
+  if (prod_seq >= next_seq_) return nullptr;
+  return &at(prod_seq);
 }
 
 const OooCore::RobEntry* OooCore::find_producer(std::uint64_t seq, std::uint16_t dist) const {
@@ -121,7 +128,7 @@ void OooCore::do_fetch(Cycle now) {
     return;
   }
   for (int slot = 0; slot < params_.width; ++slot) {
-    if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+    if (rob_full()) {
       ++stats_.rob_full_cycles;
       return;
     }
@@ -130,7 +137,10 @@ void OooCore::do_fetch(Cycle now) {
 
     // Load/store queue occupancy.
     if (op.type == UopType::kLoad && loads_in_flight_ >= params_.load_queue) return;
-    if (op.type == UopType::kStore && stores_in_window_ >= params_.store_queue) return;
+    if (op.type == UopType::kStore &&
+        store_tail_ - store_head_ >= static_cast<std::uint64_t>(params_.store_queue)) {
+      return;
+    }
 
     // Instruction-side: crossing into a new cache line costs an L1I access.
     const Addr fetch_line = line_base(op.pc);
@@ -156,27 +166,26 @@ void OooCore::do_fetch(Cycle now) {
       }
     }
 
-    RobEntry e;
+    RobEntry& e = at(next_seq_);
+    e = RobEntry{};
     e.op = op;
     e.seq = next_seq_++;
     staged_.reset();
 
-    if (op.type == UopType::kBranch) {
+    if (e.op.type == UopType::kBranch) {
       ++stats_.branches;
-      const bool predicted = bpred_.predict(op.pc);
-      bpred_.update(op.pc, op.branch_taken);
-      if (predicted != op.branch_taken) {
+      const bool predicted = bpred_.predict(e.op.pc);
+      bpred_.update(e.op.pc, e.op.branch_taken);
+      if (predicted != e.op.branch_taken) {
         e.mispredicted = true;
         ++stats_.branch_mispredicts;
       }
     }
-    if (op.type == UopType::kLoad) ++loads_in_flight_;
-    if (op.type == UopType::kStore) ++stores_in_window_;
+    if (e.op.type == UopType::kLoad) ++loads_in_flight_;
+    if (e.op.type == UopType::kStore) store_seqs_[store_tail_++ & store_mask_] = e.seq;
 
-    const bool gate = e.mispredicted;
-    rob_.push_back(std::move(e));
     if (params_.wakeup_list) link_dependencies();
-    if (gate) {
+    if (e.mispredicted) {
       // Mispredict redirect: the front end refetches from the correct
       // target after a fixed pipeline-refill bubble. (Trace-driven model:
       // wrong-path work is charged as this bubble rather than simulated —
@@ -191,10 +200,10 @@ void OooCore::do_fetch(Cycle now) {
 bool OooCore::try_issue_entry(RobEntry& e, Cycle now) {
   if (e.op.type == UopType::kLoad) {
     // Store-to-load forwarding: youngest older store to the same word.
-    const std::uint64_t head_seq = rob_.front().seq;
-    for (std::uint64_t s = e.seq; s-- > head_seq;) {
-      const RobEntry& older = rob_[static_cast<std::size_t>(s - head_seq)];
-      if (older.op.type != UopType::kStore) continue;
+    for (std::uint64_t i = store_tail_; i-- > store_head_;) {
+      const std::uint64_t s = store_seqs_[i & store_mask_];
+      if (s >= e.seq) continue;  // younger than the load
+      const RobEntry& older = at(s);
       if (older.state == State::kWaiting) continue;  // address unknown
       if ((older.op.mem_addr & ~7ull) == (e.op.mem_addr & ~7ull)) {
         e.state = State::kIssued;
@@ -240,7 +249,7 @@ void OooCore::schedule_wake(std::uint64_t seq, Cycle at) {
 }
 
 void OooCore::link_dependencies() {
-  RobEntry& e = rob_.back();
+  RobEntry& e = at(next_seq_ - 1);
   for (int s = 0; s < 2; ++s) {
     const std::uint16_t d = e.op.src_dist[s];
     if (d == 0) continue;
@@ -263,11 +272,10 @@ void OooCore::wake_consumers(RobEntry& p) {
   std::uint64_t link = p.consumer_head;
   if (link == kNoLink) return;
   p.consumer_head = kNoLink;
-  const std::uint64_t head_seq = rob_.front().seq;
   while (link != kNoLink) {
     const std::uint64_t seq = link >> 1;
     const int slot = static_cast<int>(link & 1);
-    RobEntry& c = rob_[static_cast<std::size_t>(seq - head_seq)];
+    RobEntry& c = at(seq);
     link = c.next_consumer[slot];
     c.next_consumer[slot] = kNoLink;
     c.ready_time = std::max(c.ready_time, p.ready_at);
@@ -276,36 +284,40 @@ void OooCore::wake_consumers(RobEntry& p) {
 }
 
 void OooCore::do_issue_wakeup(Cycle now) {
-  // Calendar drain: move every wake event that has come due into the
-  // seq-ordered ready heap. `at` stamps are exact, so no re-evaluation.
+  // Calendar drain: mark every entry whose wake event has come due as
+  // ready. `at` stamps are exact, so no re-evaluation.
   while (!wake_heap_.empty() && wake_heap_.front().at <= now) {
-    ready_heap_.push_back(wake_heap_.front().seq);
-    std::push_heap(ready_heap_.begin(), ready_heap_.end(), seq_greater);
+    const std::uint64_t slot = wake_heap_.front().seq & rob_mask_;
+    ready_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    ++ready_count_;
     std::pop_heap(wake_heap_.begin(), wake_heap_.end(), wake_later);
     wake_heap_.pop_back();
   }
-  if (ready_heap_.empty()) return;
+  if (ready_count_ == 0) return;
 
-  // Pop oldest-first until `width` issue (exactly the polled scan's
-  // order and cutoff). FU-limited or memory-rejected entries retry next
-  // cycle; entries left by the cutoff stay queued.
-  const std::uint64_t head_seq = rob_.front().seq;
+  // Try ready entries oldest-first (ring order from the head slot) until
+  // `width` issue: exactly the polled scan's order and cutoff. FU-limited
+  // or memory-rejected entries stay set and retry next cycle. Words are
+  // visited from the head's word round to it again, the first visit
+  // masked to slots at or after the head, the last to slots before it.
+  const std::size_t words = ready_bits_.size();
+  const std::uint64_t head_slot = head_seq_ & rob_mask_;
+  const std::size_t head_word = static_cast<std::size_t>(head_slot >> 6);
+  const std::uint64_t before_head = (std::uint64_t{1} << (head_slot & 63)) - 1;
   int issued = 0;
-  retry_scratch_.clear();
-  while (issued < params_.width && !ready_heap_.empty()) {
-    std::pop_heap(ready_heap_.begin(), ready_heap_.end(), seq_greater);
-    const std::uint64_t seq = ready_heap_.back();
-    ready_heap_.pop_back();
-    RobEntry& e = rob_[static_cast<std::size_t>(seq - head_seq)];
-    if (try_issue_entry(e, now)) {
-      ++issued;
-    } else {
-      retry_scratch_.push_back(seq);
+  for (std::size_t n = 0; n <= words; ++n) {
+    const std::size_t wi = (head_word + n) & (words - 1);
+    std::uint64_t bits = ready_bits_[wi];
+    if (n == 0) bits &= ~before_head;
+    if (n == words) bits &= before_head;
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      if (!try_issue_entry(rob_[wi * 64 + static_cast<std::size_t>(b)], now)) continue;
+      ready_bits_[wi] &= ~(std::uint64_t{1} << b);
+      --ready_count_;
+      if (++issued == params_.width) return;
     }
-  }
-  for (const std::uint64_t seq : retry_scratch_) {
-    ready_heap_.push_back(seq);
-    std::push_heap(ready_heap_.begin(), ready_heap_.end(), seq_greater);
   }
 }
 
@@ -318,17 +330,12 @@ void OooCore::do_issue(Cycle now) {
 }
 
 void OooCore::do_issue_polled(Cycle now) {
-  if (rob_.empty()) return;
-  const std::uint64_t head_seq = rob_.front().seq;
-  const std::size_t start =
-      first_waiting_seq_ > head_seq ? static_cast<std::size_t>(first_waiting_seq_ - head_seq)
-                                    : 0;
+  if (rob_size() == 0) return;
   int issued = 0;
   std::uint64_t first_still_waiting = next_seq_;
   bool have_first = false;
-  auto it = rob_.begin() + static_cast<std::ptrdiff_t>(std::min(start, rob_.size()));
-  for (; it != rob_.end(); ++it) {
-    RobEntry& e = *it;
+  for (std::uint64_t seq = std::max(first_waiting_seq_, head_seq_); seq < next_seq_; ++seq) {
+    RobEntry& e = at(seq);
     if (issued >= params_.width) {
       if (!have_first) first_still_waiting = e.seq;  // unscanned tail starts here
       have_first = true;
@@ -360,15 +367,15 @@ void OooCore::do_issue_polled(Cycle now) {
 }
 
 void OooCore::do_commit(Cycle now) {
-  for (int n = 0; n < params_.width && !rob_.empty(); ++n) {
-    RobEntry& head = rob_.front();
+  for (int n = 0; n < params_.width && rob_size() != 0; ++n) {
+    RobEntry& head = at(head_seq_);
     if (head.state != State::kIssued || !head.ready_known || head.ready_at > now) return;
 
     if (head.op.type == UopType::kStore) {
       if (store_buffer_.size() >= static_cast<std::size_t>(params_.store_buffer)) return;
       store_buffer_.emplace_back(head.op.mem_addr,
                                  kTagStore | (head.seq & ~kTagMask));
-      --stores_in_window_;
+      ++store_head_;
       ++stats_.stores;
     }
     if (head.op.type == UopType::kLoad) {
@@ -378,7 +385,7 @@ void OooCore::do_commit(Cycle now) {
     ++stats_.committed_total;
     if (commit_counter_ != nullptr) ++*commit_counter_;
     if (head.op.is_user) ++stats_.committed_user;
-    rob_.pop_front();
+    ++head_seq_;
   }
 }
 
@@ -401,12 +408,8 @@ void OooCore::on_miss_completion(std::uint64_t user_tag, Cycle done) {
   if (user_tag & kTagStore) return;  // posted store echo
   quiet_until_ = std::min(quiet_until_, done);
 
-  if (rob_.empty()) return;
-  const std::uint64_t head_seq = rob_.front().seq;
-  if (user_tag < head_seq) return;
-  const std::uint64_t idx = user_tag - head_seq;
-  if (idx >= rob_.size()) return;
-  RobEntry& e = rob_[static_cast<std::size_t>(idx)];
+  if (user_tag < head_seq_ || user_tag >= next_seq_) return;
+  RobEntry& e = at(user_tag);
   NTSERV_ENSURES(e.seq == user_tag, "ROB sequence bookkeeping corrupt");
   e.ready_known = true;
   e.ready_at = done;
@@ -420,9 +423,8 @@ void OooCore::on_miss_completion(std::uint64_t user_tag, Cycle done) {
   // Re-bound operand caches pinned on pending misses: dependents of this
   // load can become ready from `done` on. Entries before the first
   // waiting seq are not waiting, so start the walk there.
-  const std::uint64_t first = std::max(first_waiting_seq_, head_seq);
-  for (std::size_t i = static_cast<std::size_t>(first - head_seq); i < rob_.size(); ++i) {
-    RobEntry& w = rob_[i];
+  for (std::uint64_t seq = std::max(first_waiting_seq_, head_seq_); seq < next_seq_; ++seq) {
+    RobEntry& w = at(seq);
     if (w.state == State::kWaiting && w.not_before > done) w.not_before = done;
   }
 }
@@ -434,7 +436,7 @@ void OooCore::tick(Cycle now) {
     // (same bookkeeping the full pipeline walk would have done).
     if (ifetch_outstanding_ || fetch_blocked_until_ > now) {
       ++stats_.fetch_stall_cycles;
-    } else if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+    } else if (rob_full()) {
       ++stats_.rob_full_cycles;
     }
     made_progress_ = false;
@@ -463,8 +465,8 @@ Cycle OooCore::next_event_cycle(Cycle now) const {
   Cycle next = kNeverCycle;
 
   // Commit: the head retires at its completion stamp.
-  if (!rob_.empty()) {
-    const RobEntry& head = rob_.front();
+  if (rob_size() != 0) {
+    const RobEntry& head = at(head_seq_);
     if (head.state == State::kIssued && head.ready_known) {
       if (head.ready_at <= now) return now;
       next = std::min(next, head.ready_at);
@@ -480,20 +482,18 @@ Cycle OooCore::next_event_cycle(Cycle now) const {
     // Entries still parked on a producer wake either with that producer
     // (whose own event is covered here or by the memory system) or with
     // a miss completion, which caps quiet_until_.
-    if (!ready_heap_.empty()) return now;  // ready: may be FU-limited, must tick
+    if (ready_count_ != 0) return now;  // ready: may be FU-limited, must tick
     if (!wake_heap_.empty()) {
       const Cycle at = wake_heap_.front().at;
       if (at <= now) return now;
       next = std::min(next, at);
     }
-  } else if (!rob_.empty()) {
+  } else {
     // Polled reference: conservative re-derivation over the waiting
     // region (kNever-bounded entries wake via a miss completion, which
     // caps quiet_until_).
-    const std::uint64_t head_seq = rob_.front().seq;
-    const std::uint64_t first = std::max(first_waiting_seq_, head_seq);
-    for (std::size_t i = static_cast<std::size_t>(first - head_seq); i < rob_.size(); ++i) {
-      const RobEntry& e = rob_[i];
+    for (std::uint64_t seq = std::max(first_waiting_seq_, head_seq_); seq < next_seq_; ++seq) {
+      const RobEntry& e = at(seq);
       if (e.state != State::kWaiting) continue;
       if (e.operands_ok) return now;  // ready: may be FU-limited, must tick
       Cycle ready = e.not_before;
@@ -510,13 +510,13 @@ Cycle OooCore::next_event_cycle(Cycle now) const {
   if (!ifetch_outstanding_) {
     if (fetch_blocked_until_ > now) {
       next = std::min(next, fetch_blocked_until_);
-    } else if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+    } else if (rob_full()) {
       // ROB-full: wakes with commit.
     } else if (staged_ && staged_->type == UopType::kLoad &&
                loads_in_flight_ >= params_.load_queue) {
       // Load-queue-full: wakes with commit.
     } else if (staged_ && staged_->type == UopType::kStore &&
-               stores_in_window_ >= params_.store_queue) {
+               store_tail_ - store_head_ >= static_cast<std::uint64_t>(params_.store_queue)) {
       // Store-queue-full: wakes with commit.
     } else {
       return now;
@@ -532,7 +532,7 @@ void OooCore::note_idle_cycles(Cycle now, Cycle cycles) {
   // whole window.
   if (ifetch_outstanding_ || fetch_blocked_until_ > now) {
     stats_.fetch_stall_cycles += cycles;
-  } else if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+  } else if (rob_full()) {
     stats_.rob_full_cycles += cycles;
   }
 }

@@ -187,6 +187,15 @@ class OooCore {
     std::uint8_t wait_count = 0;
   };
 
+  /// ROB ring: the entry of `seq` lives in slot `seq & rob_mask_`; the
+  /// window is [head_seq_, next_seq_).
+  [[nodiscard]] RobEntry& at(std::uint64_t seq) { return rob_[seq & rob_mask_]; }
+  [[nodiscard]] const RobEntry& at(std::uint64_t seq) const { return rob_[seq & rob_mask_]; }
+  [[nodiscard]] std::uint64_t rob_size() const { return next_seq_ - head_seq_; }
+  [[nodiscard]] bool rob_full() const {
+    return rob_size() >= static_cast<std::uint64_t>(params_.rob_entries);
+  }
+
   void do_fetch(Cycle now);
   void do_issue(Cycle now);
   void do_issue_polled(Cycle now);
@@ -194,15 +203,15 @@ class OooCore {
   void do_commit(Cycle now);
   void drain_store_buffer(Cycle now);
 
-  /// Wakeup-list scheduler: register the just-dispatched rob_.back() with
-  /// its in-flight producers (or schedule its wake directly when every
+  /// Wakeup-list scheduler: register the just-dispatched youngest entry
+  /// with its in-flight producers (or schedule its wake directly when every
   /// operand's arrival cycle is already known).
   void link_dependencies();
   /// Producer `p` just learned its ready_at: push wake events to the
   /// consumers parked on its list, scheduling any that became fully
   /// resolved.
   void wake_consumers(RobEntry& p);
-  /// Queue entry `seq` to enter the ready heap once `at` arrives.
+  /// Queue entry `seq` to enter the ready set once `at` arrives.
   void schedule_wake(std::uint64_t seq, Cycle at);
 
   /// Earliest cycle the entry's operands can all be ready: <= now when
@@ -226,7 +235,10 @@ class OooCore {
   UopSource& source_;
   GsharePredictor bpred_;
 
-  std::deque<RobEntry> rob_;
+  /// Fixed ring of capacity a power of two >= max(rob_entries, 64).
+  std::vector<RobEntry> rob_;
+  std::uint64_t rob_mask_ = 0;
+  std::uint64_t head_seq_ = 0;  ///< oldest in-window seq (== next_seq_ when empty)
   std::uint64_t next_seq_ = 0;
   /// Seq of the oldest still-waiting ROB entry (== next_seq_ when none):
   /// the issue and wake-up scans start here, skipping the issued prefix
@@ -254,14 +266,21 @@ class OooCore {
   /// next_event_cycle() an exact issue-side bound (tighter than the
   /// polled path's conservative re-derivation).
   std::vector<PendingWake> wake_heap_;
-  /// Min-heap by seq of operand-ready waiting entries, so pops replicate
-  /// the polled scan's oldest-first order. FU-limited or memory-rejected
-  /// entries are re-pushed and retried next cycle.
-  std::vector<std::uint64_t> ready_heap_;
-  std::vector<std::uint64_t> retry_scratch_;  ///< reused per cycle
+  /// Operand-ready waiting entries, one bit per ROB ring slot. do_issue
+  /// scans it from the head slot, which is the polled scan's oldest-first
+  /// order; FU-limited or memory-rejected entries stay set and retry next
+  /// cycle.
+  std::vector<std::uint64_t> ready_bits_;
+  int ready_count_ = 0;
 
   int loads_in_flight_ = 0;
-  int stores_in_window_ = 0;
+  /// Seqs of the in-window stores, oldest first: a ring of capacity a
+  /// power of two >= store_queue, pushed at dispatch and popped at commit.
+  /// Store-to-load forwarding walks it instead of the whole window.
+  std::vector<std::uint64_t> store_seqs_;
+  std::uint64_t store_mask_ = 0;
+  std::uint64_t store_head_ = 0;
+  std::uint64_t store_tail_ = 0;
 
   std::uint64_t* commit_counter_ = nullptr;
   bool made_progress_ = true;
