@@ -14,8 +14,12 @@ using namespace ntserv;
 
 namespace {
 
+/// One random request every `range(0)` memory cycles: 4 keeps the
+/// channels busy, 256 leaves most ticks with nothing to do, so the
+/// channels' event bound (recomputed after each idle tick) dominates.
 void BM_DramRandomTraffic(benchmark::State& state) {
   dram::DramSystem mem;
+  const auto period = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t id = 0;
   Xoshiro256StarStar rng{42};
   // Scratch-vector completion drain, matching the simulator's hot path
@@ -23,7 +27,7 @@ void BM_DramRandomTraffic(benchmark::State& state) {
   // overload is for tests and tools).
   std::vector<dram::MemResponse> completions;
   for (auto _ : state) {
-    if ((id & 3) == 0) {
+    if (id % period == 0) {
       const Addr a = rng.uniform_below(1ull << 30) & ~63ull;
       (void)mem.enqueue(id, a, rng.bernoulli(0.25));
     }
@@ -35,7 +39,7 @@ void BM_DramRandomTraffic(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_DramRandomTraffic);
+BENCHMARK(BM_DramRandomTraffic)->Arg(4)->Arg(256);
 
 void BM_CacheArrayProbe(benchmark::State& state) {
   cache::CacheArray cache{{4 * kMiB, 16, cache::ReplacementPolicy::kLru, 7, false}};
@@ -362,6 +366,29 @@ void BM_TraceOverhead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1);
+
+/// One unit of fleet setup: a cold paper-geometry cluster on the
+/// Web Serving profile at 2 GHz warmed through 600k committed
+/// instructions, as ChipServer builds every cluster of a fleet. The warm
+/// is DRAM-heavy (cold caches), so the channels' event bound shows here.
+void BM_ClusterWarm(benchmark::State& state) {
+  sim::ClusterConfig cc;
+  cc.core_clock = ghz(2.0);
+  const auto profile = workload::WorkloadProfile::web_serving();
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<cpu::UopSource>> sources;
+    for (int c = 0; c < cc.hierarchy.cores; ++c) {
+      sources.push_back(std::make_unique<workload::SyntheticWorkload>(
+          profile, 500 + static_cast<std::uint64_t>(c) * 7919,
+          workload::AddressSpace::for_core(static_cast<CoreId>(c))));
+    }
+    sim::Cluster cluster{cc, std::move(sources)};
+    cluster.run_until_committed(600'000, 6'000'000);
+    benchmark::DoNotOptimize(cluster.total_committed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ClusterWarm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

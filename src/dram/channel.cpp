@@ -45,12 +45,6 @@ void Channel::enqueue(const MemRequest& req, Cycle now) {
   }
 }
 
-std::vector<MemResponse> Channel::drain_completions() {
-  std::vector<MemResponse> out;
-  out.swap(completions_);
-  return out;
-}
-
 void Channel::drain_completions_into(std::vector<MemResponse>& out) {
   out.insert(out.end(), completions_.begin(), completions_.end());
   completions_.clear();
@@ -66,10 +60,7 @@ Cycle Channel::act_allowed_at(const Rank& r, const DramCoord& c) const {
   t = std::max(t, r.group_next_act[static_cast<std::size_t>(c.bank_group)]);
   t = std::max(t, r.busy_until);
   // tFAW: at most four ACTs per rank in any tFAW window.
-  if (r.act_window.size() >= 4) {
-    t = std::max(t, r.act_window[r.act_window.size() - 4] + config_.timing.tfaw);
-  }
-  return t;
+  return std::max(t, r.faw_ring[r.faw_head]);
 }
 
 void Channel::do_activate(const DramCoord& c, Cycle now) {
@@ -82,21 +73,28 @@ void Channel::do_activate(const DramCoord& c, Cycle now) {
   bank.next_pre = std::max(bank.next_pre, now + t.tras);
   bank.next_cas = now + t.trcd;
   bank.next_act = now + t.trc;
+  rank.max_next_act = std::max(rank.max_next_act, bank.next_act);
+  ++rank.active_banks;
 
   rank.next_act_any = std::max(rank.next_act_any, now + t.trrd_s);
   auto& group_gate = rank.group_next_act[static_cast<std::size_t>(c.bank_group)];
   group_gate = std::max(group_gate, now + t.trrd_l);
 
-  rank.act_window.push_back(now);
-  while (rank.act_window.size() > 8) rank.act_window.pop_front();
+  rank.faw_ring[rank.faw_head] = now + t.tfaw;
+  rank.faw_head = static_cast<std::uint8_t>((rank.faw_head + 1) % rank.faw_ring.size());
   ++stats_.activates;
 }
 
 void Channel::do_precharge(const DramCoord& c, Cycle now) {
   auto& rank = ranks_[static_cast<std::size_t>(c.rank)];
-  auto& bank = rank.banks[static_cast<std::size_t>(c.flat)];
+  close_bank(rank, rank.banks[static_cast<std::size_t>(c.flat)], now + config_.timing.trp);
+}
+
+void Channel::close_bank(Rank& rank, Bank& bank, Cycle act_ready) {
   bank.active = false;
-  bank.next_act = std::max(bank.next_act, now + config_.timing.trp);
+  bank.next_act = std::max(bank.next_act, act_ready);
+  rank.max_next_act = std::max(rank.max_next_act, bank.next_act);
+  --rank.active_banks;
   ++stats_.precharges;
 }
 
@@ -147,9 +145,7 @@ void Channel::do_cas(const Pending& p, bool is_write, Cycle now) {
 
   if (config_.page_policy == PagePolicy::kClosed) {
     // Model auto-precharge: schedule the precharge as soon as legal.
-    bank.active = false;
-    bank.next_act = std::max(bank.next_act, std::max(bank.next_pre, now) + t.trp);
-    ++stats_.precharges;
+    close_bank(rank, bank, std::max(bank.next_pre, now) + t.trp);
   }
 }
 
@@ -158,34 +154,24 @@ bool Channel::try_refresh(Cycle now) {
     if (now < rank.next_refresh_due || now < rank.busy_until) continue;
 
     // All banks must be precharged; close them as their tRTP/tWR allow.
-    bool all_idle = true;
-    for (std::size_t b = 0; b < rank.banks.size(); ++b) {
-      auto& bank = rank.banks[b];
-      if (!bank.active) continue;
-      all_idle = false;
-      if (now >= bank.next_pre) {
-        DramCoord c;
-        c.rank = static_cast<int>(&rank - ranks_.data());
-        c.bank_group = static_cast<int>(b) / config_.geometry.banks_per_group;
-        c.bank = static_cast<int>(b) % config_.geometry.banks_per_group;
-        c.flat = static_cast<int>(b);
-        do_precharge(c, now);
-        return true;  // consumed this cycle's command slot
+    if (rank.active_banks > 0) {
+      for (auto& bank : rank.banks) {
+        if (bank.active && now >= bank.next_pre) {
+          close_bank(rank, bank, now + config_.timing.trp);
+          return true;  // consumed this cycle's command slot
+        }
       }
+      continue;
     }
-    if (!all_idle) continue;
 
     // Banks idle and REF due: REF is gated like an ACT (tRP after the last
     // PRE, tRC after the last ACT), which per-bank next_act already encodes.
-    bool ready = true;
-    for (const auto& bank : rank.banks) {
-      if (now < bank.next_act) { ready = false; break; }
-    }
-    if (!ready) continue;
+    if (now < rank.max_next_act) continue;
 
     rank.busy_until = now + config_.timing.trfc;
     rank.next_refresh_due += config_.timing.trefi;
     for (auto& bank : rank.banks) bank.next_act = std::max(bank.next_act, rank.busy_until);
+    rank.max_next_act = rank.busy_until;  // now >= every next_act before the REF
     ++stats_.refreshes;
     return true;
   }
@@ -307,22 +293,6 @@ Cycle Channel::next_event_cycle(Cycle from) const {
   // Read bursts in flight retire at their done stamps.
   for (const auto& f : in_flight_) next = std::min(next, f.done);
 
-  // Refresh: per rank, either the bank-closing PREs or the REF itself.
-  for (const auto& r : ranks_) {
-    const Cycle due = std::max(r.next_refresh_due, r.busy_until);
-    bool any_active = false;
-    Cycle pre_ready = kNeverCycle;  // earliest PRE among still-open banks
-    Cycle all_act = 0;              // REF is gated like an ACT on every bank
-    for (const auto& b : r.banks) {
-      if (b.active) {
-        any_active = true;
-        pre_ready = std::min(pre_ready, b.next_pre);
-      }
-      all_act = std::max(all_act, b.next_act);
-    }
-    next = std::min(next, std::max(due, any_active ? pre_ready : all_act));
-  }
-
   // Earliest CAS a queued request could issue (exact mirror of cas_ready's
   // timing terms; requests needing ACT/PRE first are handled below).
   auto cas_enable = [&](const Pending& p, bool is_write) {
@@ -372,6 +342,24 @@ Cycle Channel::next_event_cycle(Cycle from) const {
     } else {
       for (const auto& p : secondary) next = std::min(next, cas_enable(p, !draining));
     }
+  }
+  if (next <= from) return from;  // no later term can change the result
+
+  // Refresh: per rank, either the bank-closing PREs or the REF itself.
+  // Both wait for `due`, so a rank whose due is not before `next` cannot
+  // lower the bound; an idle rank's REF waits for every bank's next_act.
+  for (const auto& r : ranks_) {
+    const Cycle due = std::max(r.next_refresh_due, r.busy_until);
+    if (due >= next) continue;
+    if (r.active_banks == 0) {
+      next = std::min(next, std::max(due, r.max_next_act));
+      continue;
+    }
+    Cycle pre_ready = kNeverCycle;  // earliest PRE among still-open banks
+    for (const auto& b : r.banks) {
+      if (b.active) pre_ready = std::min(pre_ready, b.next_pre);
+    }
+    next = std::min(next, std::max(due, pre_ready));
   }
   return std::max(next, from);
 }

@@ -2,6 +2,7 @@
 // command scheduler. This is the core of the DRAMSim2-equivalent substrate.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -70,9 +71,6 @@ class Channel {
   /// channel did anything (the cluster's skip gate).
   bool tick(Cycle now);
 
-  /// Drain completions accumulated so far.
-  [[nodiscard]] std::vector<MemResponse> drain_completions();
-
   /// Allocation-free drain: append completions to `out` and clear.
   void drain_completions_into(std::vector<MemResponse>& out);
 
@@ -101,7 +99,16 @@ class Channel {
 
   struct Rank {
     std::vector<Bank> banks;
-    std::deque<Cycle> act_window;  ///< timestamps of recent ACTs (tFAW)
+    /// tFAW: each of the last four ACTs' stamp + tFAW, oldest at
+    /// faw_head (zero until four ACTs have issued, which gates nothing).
+    std::array<Cycle, 4> faw_ring{};
+    std::uint8_t faw_head = 0;
+    /// Bank summary kept on every state change, so the event bound and
+    /// the refresh pass need not scan the banks: the number of open
+    /// banks, and the max of every bank's next_act (exact as a running
+    /// max, since a bank's next_act only grows).
+    int active_banks = 0;
+    Cycle max_next_act = 0;
     Cycle next_refresh_due = 0;
     Cycle busy_until = 0;  ///< tRFC window after REF
     Cycle next_rd = 0;     ///< rank-level read gating (tWTR etc.)
@@ -129,6 +136,8 @@ class Channel {
   [[nodiscard]] bool cas_ready(const Pending& p, bool is_write, Cycle now) const;
   void do_activate(const DramCoord& c, Cycle now);
   void do_precharge(const DramCoord& c, Cycle now);
+  /// Close an open bank (explicit or auto-precharge): no ACT before `act_ready`.
+  void close_bank(Rank& rank, Bank& bank, Cycle act_ready);
   void do_cas(const Pending& p, bool is_write, Cycle now);
 
   [[nodiscard]] Cycle act_allowed_at(const Rank& r, const DramCoord& c) const;

@@ -83,6 +83,10 @@ class DramSystem {
   [[nodiscard]] bool idle() const;
 
   [[nodiscard]] DramSystemStats stats() const;
+  /// Raw counters of channel `c` since construction (no reset baseline).
+  [[nodiscard]] const ChannelStats& channel_stats(int c) const {
+    return channels_[static_cast<std::size_t>(c)]->stats();
+  }
   /// Reset statistics counters (measurement-window control), keeping state.
   void reset_stats();
 

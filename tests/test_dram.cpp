@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <ostream>
 #include <set>
 
 #include "common/rng.hpp"
@@ -283,6 +287,227 @@ TEST(Dram, Lpddr4TimingSlower) {
   EXPECT_GT(lp.trcd, ddr4.trcd);
   EXPECT_EQ(lp.clock().value(), ddr4.clock().value());
 }
+
+// ---------------------------------------------------------------------------
+// Channel-level differential test of event skipping: the same traffic run
+// once ticking every memory cycle with the channels' quiet windows off,
+// and once skipping straight to the next channel event after every tick,
+// must give the same completion stream and the same channel counters.
+// A pinned digest per case (recorded with the full rank x bank rescan
+// bound) also holds the results to the recorded ones, so a change that
+// moves both legs alike (say, a refresh let out before tRP) fails too.
+
+/// One request of the differential traffic, offered at cycle `at`.
+struct Scheduled {
+  Cycle at;
+  std::uint64_t id;
+  Addr line_addr;
+  bool is_write;
+};
+
+/// Twelve rounds of a burst that overfills both queues of two channels (a
+/// few rows per bank, so row hits, misses and conflicts all occur)
+/// followed by an idle gap of 2-4 tREFI holding three lone requests, so
+/// refreshes come due while the channels sleep.
+std::vector<Scheduled> bursty_traffic(const DramConfig& cfg, std::uint64_t seed) {
+  const AddressMapper mapper{cfg.geometry, cfg.mapping};
+  const auto& g = cfg.geometry;
+  Xoshiro256StarStar rng{seed};
+  auto line = [&](int channel) {
+    DramCoord c;
+    c.channel = channel;
+    c.rank = static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(g.ranks_per_channel)));
+    c.bank_group = static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(g.bank_groups)));
+    c.bank = static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(g.banks_per_group)));
+    c.flat = c.flat_bank(g);
+    c.row = static_cast<std::uint32_t>(rng.uniform_below(3));
+    c.column = static_cast<std::uint32_t>(rng.uniform_below(g.lines_per_row));
+    return mapper.encode(c);
+  };
+  std::vector<Scheduled> out;
+  std::uint64_t id = 0;
+  Cycle t = 100;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 160; ++i) out.push_back({t + i / 4, id++, line(i % 2), rng.bernoulli(0.5)});
+    t += 40;
+    // Random phase against the refresh grid, so some bursts are still
+    // queued when their ranks' refresh falls due.
+    const Cycle gap = 2 * cfg.timing.trefi + rng.uniform_below(2 * cfg.timing.trefi);
+    for (int k = 0; k < 3; ++k) {
+      out.push_back({t + rng.uniform_below(gap), id++, line(k % g.channels), rng.bernoulli(0.3)});
+    }
+    t += gap;
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Scheduled& a, const Scheduled& b) { return a.at < b.at; });
+  return out;
+}
+
+struct DrivenRun {
+  std::vector<MemResponse> done;
+  Cycle ticks = 0;                   ///< tick() calls made
+  std::uint64_t woken_refreshes = 0;  ///< REFs issued on the tick right after a skip
+};
+
+/// Offer `traffic` in order (a refused request holds back the ones behind
+/// it until its channel frees a slot) and run the memory clock to `end`.
+/// With `skipping`, every tick is followed by a skip to the earlier of
+/// the next channel event and the next enqueue attempt.
+DrivenRun drive(DramSystem& mem, const std::vector<Scheduled>& traffic, Cycle end, bool skipping) {
+  DrivenRun run;
+  std::size_t next = 0;
+  bool skipped = false;
+  while (mem.now() < end) {
+    while (next < traffic.size() && traffic[next].at <= mem.now() &&
+           mem.enqueue(traffic[next].id, traffic[next].line_addr, traffic[next].is_write)) {
+      ++next;
+    }
+    const auto refreshes = mem.stats().refreshes;
+    mem.tick();
+    ++run.ticks;
+    if (skipped && mem.stats().refreshes > refreshes) ++run.woken_refreshes;
+    mem.drain_completions_into(run.done);
+    if (!skipping) continue;
+    Cycle target = std::min(mem.next_event_cycle(), end);
+    if (next < traffic.size()) target = std::min(target, std::max(traffic[next].at, mem.now()));
+    skipped = target > mem.now();
+    if (skipped) mem.skip(target - mem.now());
+  }
+  return run;
+}
+
+std::array<std::uint64_t, 12> counters(const ChannelStats& s) {
+  return {s.reads_issued,  s.writes_issued, s.row_hits,
+          s.row_misses,    s.row_conflicts, s.activates,
+          s.precharges,    s.refreshes,     s.data_bus_busy_cycles,
+          s.read_latency_sum, s.read_count, s.forwarded_reads};
+}
+
+/// FNV-1a over the completion stream and every channel's counters.
+std::uint64_t digest(const DramSystem& mem, const std::vector<MemResponse>& done) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& r : done) {
+    mix(r.id);
+    mix(r.completion);
+  }
+  for (int c = 0; c < mem.config().geometry.channels; ++c) {
+    for (const auto v : counters(mem.channel_stats(c))) mix(v);
+  }
+  return h;
+}
+
+struct SkipCase {
+  const char* name;
+  SchedulerKind scheduler;
+  PagePolicy page;
+  bool lpddr4;
+  std::uint64_t digest;  ///< recorded results of the case
+};
+
+// REF is gated like an ACT: tRP after the last PRE. Here a row conflict
+// closes the rank's only open bank two cycles before its refresh falls
+// due, so the REF (and the conflicting read behind it) must wait out tRP.
+// The differential traffic above rarely lands a refresh in that window.
+TEST(Dram, RefreshWaitsTrpAfterRowConflictPrecharge) {
+  for (const bool skipping : {false, true}) {
+    DramConfig cfg;
+    cfg.event_skipping = skipping;
+    const auto& t = cfg.timing;
+    const AddressMapper mapper{cfg.geometry, cfg.mapping};
+    DramCoord c;  // channel 0, rank 0, bank 0
+    const Addr row0 = mapper.encode(c);
+    c.row = 1;
+    const Addr row1 = mapper.encode(c);
+    const Cycle conflict = t.trefi - 2;  // the PRE issues on the enqueue tick
+    DramSystem mem{cfg};
+    const auto run = drive(mem, {{0, 1, row0, false}, {conflict, 2, row1, false}},
+                           t.trefi + 1000, skipping);
+    ASSERT_EQ(run.done.size(), 2u);
+    EXPECT_EQ(run.done[1].id, 2u);
+    EXPECT_EQ(run.done[1].completion,
+              conflict + t.trp + t.trfc + t.trcd + t.cl + t.burst_cycles())
+        << "skipping=" << skipping;
+  }
+}
+
+void PrintTo(const SkipCase& c, std::ostream* os) { *os << c.name; }
+
+class ChannelEventSkip : public ::testing::TestWithParam<SkipCase> {};
+
+TEST_P(ChannelEventSkip, SkippingMatchesTickingEveryCycle) {
+  const auto& param = GetParam();
+  DramConfig cfg;
+  cfg.scheduler = param.scheduler;
+  cfg.page_policy = param.page;
+  if (param.lpddr4) cfg.timing = Ddr4Timing::lpddr4_1600();
+  DramConfig ticked_cfg = cfg;
+  ticked_cfg.event_skipping = false;
+
+  const auto traffic = bursty_traffic(cfg, 91);
+  const Cycle end = traffic.back().at + 4 * cfg.timing.trefi;
+  DramSystem ticked{ticked_cfg};
+  DramSystem skipping{cfg};
+  const auto a = drive(ticked, traffic, end, false);
+  const auto b = drive(skipping, traffic, end, true);
+
+  ASSERT_EQ(a.done.size(), b.done.size());
+  for (std::size_t i = 0; i < a.done.size(); ++i) {
+    ASSERT_EQ(a.done[i].id, b.done[i].id) << "completion #" << i;
+    ASSERT_EQ(a.done[i].completion, b.done[i].completion) << "completion #" << i;
+  }
+  for (int c = 0; c < cfg.geometry.channels; ++c) {
+    EXPECT_EQ(counters(ticked.channel_stats(c)), counters(skipping.channel_stats(c)))
+        << "channel " << c;
+  }
+
+  // The run is not vacuous: every read completed, both queues overflowed
+  // (requests were held back), most cycles were skipped and refreshes
+  // landed on cycles the bound woke for.
+  std::uint64_t reads = 0;
+  for (const auto& r : traffic) reads += r.is_write ? 0 : 1;
+  EXPECT_EQ(b.done.size(), reads);
+  EXPECT_EQ(a.ticks, end);
+  EXPECT_LT(b.ticks * 4, end);
+  EXPECT_GT(b.woken_refreshes, 0u);
+  const auto& busy = skipping.channel_stats(0);
+  EXPECT_GT(busy.row_misses, 0u);
+  if (param.page == PagePolicy::kOpen) {
+    EXPECT_GT(busy.row_hits, 0u);
+    EXPECT_GT(busy.row_conflicts, 0u);
+  }
+
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(digest(skipping, b.done)));
+  EXPECT_EQ(digest(skipping, b.done), param.digest) << "recorded digest moved: now " << hex;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ChannelEventSkip,
+    ::testing::Values(
+        SkipCase{"FrFcfsOpenDdr4", SchedulerKind::kFrFcfs, PagePolicy::kOpen, false,
+                 0x1d90b617c535b714ull},
+        SkipCase{"FrFcfsClosedDdr4", SchedulerKind::kFrFcfs, PagePolicy::kClosed, false,
+                 0x93b7d38de91ea84cull},
+        SkipCase{"FcfsOpenDdr4", SchedulerKind::kFcfs, PagePolicy::kOpen, false,
+                 0x5e7d1680e138a9dfull},
+        SkipCase{"FcfsClosedDdr4", SchedulerKind::kFcfs, PagePolicy::kClosed, false,
+                 0x6d39069300d4cea7ull},
+        SkipCase{"FrFcfsOpenLpddr4", SchedulerKind::kFrFcfs, PagePolicy::kOpen, true,
+                 0x85a7012fed3a0d90ull},
+        SkipCase{"FrFcfsClosedLpddr4", SchedulerKind::kFrFcfs, PagePolicy::kClosed, true,
+                 0xdfd757dafa4754baull},
+        SkipCase{"FcfsOpenLpddr4", SchedulerKind::kFcfs, PagePolicy::kOpen, true,
+                 0x07557e754c69cfd2ull},
+        SkipCase{"FcfsClosedLpddr4", SchedulerKind::kFcfs, PagePolicy::kClosed, true,
+                 0x11b0872c94b9e7f9ull}),
+    [](const auto& info) { return std::string{info.param.name}; });
 
 }  // namespace
 }  // namespace ntserv::dram
