@@ -14,9 +14,10 @@ using namespace ntserv;
 
 namespace {
 
-/// One random request every `range(0)` memory cycles: 4 keeps the
-/// channels busy, 256 leaves most ticks with nothing to do, so the
-/// channels' event bound (recomputed after each idle tick) dominates.
+/// One random request every `range(0)` memory cycles. At 4 the channels
+/// saturate (about a quarter of the requests are refused and the queues
+/// stay full); at 256 about 1% of ticks act, so the idle path (the quiet
+/// window and the event bound computed after an idle tick) is timed.
 void BM_DramRandomTraffic(benchmark::State& state) {
   dram::DramSystem mem;
   const auto period = static_cast<std::uint64_t>(state.range(0));

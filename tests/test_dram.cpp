@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <ostream>
 #include <set>
 
@@ -410,32 +409,6 @@ struct SkipCase {
   std::uint64_t digest;  ///< recorded results of the case
 };
 
-// REF is gated like an ACT: tRP after the last PRE. Here a row conflict
-// closes the rank's only open bank two cycles before its refresh falls
-// due, so the REF (and the conflicting read behind it) must wait out tRP.
-// The differential traffic above rarely lands a refresh in that window.
-TEST(Dram, RefreshWaitsTrpAfterRowConflictPrecharge) {
-  for (const bool skipping : {false, true}) {
-    DramConfig cfg;
-    cfg.event_skipping = skipping;
-    const auto& t = cfg.timing;
-    const AddressMapper mapper{cfg.geometry, cfg.mapping};
-    DramCoord c;  // channel 0, rank 0, bank 0
-    const Addr row0 = mapper.encode(c);
-    c.row = 1;
-    const Addr row1 = mapper.encode(c);
-    const Cycle conflict = t.trefi - 2;  // the PRE issues on the enqueue tick
-    DramSystem mem{cfg};
-    const auto run = drive(mem, {{0, 1, row0, false}, {conflict, 2, row1, false}},
-                           t.trefi + 1000, skipping);
-    ASSERT_EQ(run.done.size(), 2u);
-    EXPECT_EQ(run.done[1].id, 2u);
-    EXPECT_EQ(run.done[1].completion,
-              conflict + t.trp + t.trfc + t.trcd + t.cl + t.burst_cycles())
-        << "skipping=" << skipping;
-  }
-}
-
 void PrintTo(const SkipCase& c, std::ostream* os) { *os << c.name; }
 
 class ChannelEventSkip : public ::testing::TestWithParam<SkipCase> {};
@@ -482,10 +455,8 @@ TEST_P(ChannelEventSkip, SkippingMatchesTickingEveryCycle) {
     EXPECT_GT(busy.row_conflicts, 0u);
   }
 
-  char hex[19];
-  std::snprintf(hex, sizeof hex, "0x%016llx",
-                static_cast<unsigned long long>(digest(skipping, b.done)));
-  EXPECT_EQ(digest(skipping, b.done), param.digest) << "recorded digest moved: now " << hex;
+  const auto got = digest(skipping, b.done);
+  EXPECT_EQ(got, param.digest) << "recorded digest moved: now 0x" << std::hex << got;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -508,6 +479,32 @@ INSTANTIATE_TEST_SUITE_P(
         SkipCase{"FcfsClosedLpddr4", SchedulerKind::kFcfs, PagePolicy::kClosed, true,
                  0x11b0872c94b9e7f9ull}),
     [](const auto& info) { return std::string{info.param.name}; });
+
+// REF is gated like an ACT: tRP after the last PRE. Here a row conflict
+// closes the rank's only open bank two cycles before its refresh falls
+// due, so the REF (and the conflicting read behind it) must wait out tRP.
+// The differential traffic rarely lands a refresh in that window.
+TEST(Dram, RefreshWaitsTrpAfterRowConflictPrecharge) {
+  for (const bool skipping : {false, true}) {
+    DramConfig cfg;
+    cfg.event_skipping = skipping;
+    const auto& t = cfg.timing;
+    const AddressMapper mapper{cfg.geometry, cfg.mapping};
+    DramCoord c;  // channel 0, rank 0, bank 0
+    const Addr row0 = mapper.encode(c);
+    c.row = 1;
+    const Addr row1 = mapper.encode(c);
+    const Cycle conflict = t.trefi - 2;  // the PRE issues on the enqueue tick
+    DramSystem mem{cfg};
+    const auto run = drive(mem, {{0, 1, row0, false}, {conflict, 2, row1, false}},
+                           t.trefi + 1000, skipping);
+    ASSERT_EQ(run.done.size(), 2u);
+    EXPECT_EQ(run.done[1].id, 2u);
+    EXPECT_EQ(run.done[1].completion,
+              conflict + t.trp + t.trfc + t.trcd + t.cl + t.burst_cycles())
+        << "skipping=" << skipping;
+  }
+}
 
 }  // namespace
 }  // namespace ntserv::dram
